@@ -16,6 +16,7 @@
 #include "featureeng/feature_cache.h"
 #include "index/kmeans.h"
 #include "index/signature.h"
+#include "ml/dataset.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
 #include "ml/simd/simd_level.h"
@@ -502,6 +503,41 @@ void BM_NaiveBayesScore(benchmark::State& state) {
 }
 BENCHMARK(BM_NaiveBayesScore);
 
+// One holdout evaluation's scoring pass: naive Bayes over a 400-row WebCat
+// holdout (trained on 300 other documents), per row through the Learner
+// default vs NaiveBayesLearner::ScoreBatch, which computes each distinct
+// feature's log-odds weight once per batch. Same scores bit for bit
+// (ml_learners_test); "ratio.nb_score_all" is per-row wall / batch wall.
+void BM_NaiveBayesScoreAll(benchmark::State& state, bool batched) {
+  Task task = MakeTask(TaskKind::kWebCat, 700, 1);
+  NaiveBayesLearner nb;
+  Dataset holdout;
+  for (size_t i = 0; i < task.corpus.size(); ++i) {
+    const Document& doc = task.corpus.doc(i);
+    SparseVector x = task.pipeline.Extract(doc, task.corpus);
+    const int32_t y = doc.label == 1 ? 1 : 0;
+    if (i < 300) {
+      nb.Update(x, y);
+    } else {
+      holdout.Add(x, y);
+    }
+  }
+  std::vector<double> scores(holdout.size());
+  for (auto _ : state) {
+    if (batched) {
+      nb.ScoreBatch(holdout, 0, holdout.size(), scores.data());
+    } else {
+      nb.Learner::ScoreBatch(holdout, 0, holdout.size(), scores.data());
+    }
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(holdout.size()));
+}
+BENCHMARK_CAPTURE(BM_NaiveBayesScoreAll, per_row, false);
+BENCHMARK_CAPTURE(BM_NaiveBayesScoreAll, batch, true);
+
 void BM_LogisticRegressionUpdate(benchmark::State& state) {
   Rng rng(6);
   LogisticRegressionLearner lr;
@@ -688,7 +724,9 @@ void ExportKernelRatios(const JsonExportReporter& console,
        {"ratio.sparse_dot_dense",
         {"BM_RefSparseDotDense/128", "BM_SparseDotDense/128"}},
        {"ratio.sparse_squared_distance",
-        {"BM_RefSparseSquaredDistance/128", "BM_SparseSquaredDistance/128"}}};
+        {"BM_RefSparseSquaredDistance/128", "BM_SparseSquaredDistance/128"}},
+       {"ratio.nb_score_all",
+        {"BM_NaiveBayesScoreAll/per_row", "BM_NaiveBayesScoreAll/batch"}}};
   for (const auto& [metric, pair] : kPairs) {
     const double old_wall = console.WallOf(pair.first);
     const double new_wall = console.WallOf(pair.second);

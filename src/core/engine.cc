@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "core/convergence.h"
@@ -437,22 +438,20 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     if (mean_item_cost <= 0.0) mean_item_cost = 1.0;
   }
 
-  // The holdout scoring pass proper (no curve/stop bookkeeping), shared by
-  // the cadence evaluation and the final metrics; this is what
-  // holdout_eval_threads parallelizes and engine.holdout_eval_us times.
-  auto eval_holdout = [&]() {
-    ScopedHistogramTimer holdout_eval_timer(holdout_eval_hist);
-    return options_.tune_threshold
-               ? EvaluateLearnerTuned(*learner, holdout.holdout(), nullptr,
-                                      eval_pool.get())
-               : holdout.Evaluate(*learner, eval_pool.get());
-  };
-
   auto evaluate = [&](size_t items) {
     ScopedHistogramTimer eval_timer(eval_hist);
     TraceSpan eval_span(tracer, "engine.evaluate", "engine");
     if (evals_counter != nullptr) evals_counter->Increment();
-    BinaryMetrics m = eval_holdout();
+    BinaryMetrics m;
+    {
+      // The holdout scoring pass proper (no curve/stop bookkeeping): what
+      // holdout_eval_threads parallelizes and engine.holdout_eval_us times.
+      ScopedHistogramTimer holdout_eval_timer(holdout_eval_hist);
+      m = options_.tune_threshold
+              ? EvaluateLearnerTuned(*learner, holdout.holdout(), nullptr,
+                                     eval_pool.get())
+              : holdout.Evaluate(*learner, eval_pool.get());
+    }
     CurvePoint p;
     p.items_processed = items;
     p.virtual_micros = clock.NowMicros();
@@ -475,6 +474,12 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   auto probe_quality = [&]() {
     return QualityOf(EvaluateLearner(*learner, probe), QualityMetric::kAuc);
   };
+  // Probe quality of the current model, carried from one pull's post-update
+  // measurement to the next pull's pre-update one: nothing between the two
+  // touches the learner, so the probe is scored once per model state. The
+  // prune freeze compacts learner and probe, which moves the scores, so it
+  // clears the carry.
+  std::optional<double> carried_probe_quality;
 
   // Curve origin: the untrained learner.
   evaluate(0);
@@ -531,7 +536,12 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     inputs.probability_before = learner->PredictProbability(x);
     inputs.seen_positive = result.positives_processed;
     inputs.seen_negative = items - result.positives_processed;
-    double probe_before = needs_probe ? probe_quality() : 0.0;
+    double probe_before = 0.0;
+    if (needs_probe) {
+      probe_before = carried_probe_quality.has_value()
+                         ? *carried_probe_quality
+                         : probe_quality();
+    }
 
     // Activation counts feed the eventual prune ranking; one observation
     // per training example, in pull order (no-op once the mask froze).
@@ -548,7 +558,8 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
 
     inputs.learner = learner.get();
     if (needs_probe) {
-      inputs.probe_quality_delta = probe_quality() - probe_before;
+      carried_probe_quality = probe_quality();
+      inputs.probe_quality_delta = *carried_probe_quality - probe_before;
     }
     double r = reward->Compute(inputs);
     if (options_.cost_aware_rewards) {
@@ -597,7 +608,10 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
       if (pruner != nullptr && pruner->MaybeFreeze(learner.get(), items)) {
         holdout =
             HoldoutEvaluator(pruner->CompactDataset(holdout.holdout()));
-        if (needs_probe) probe = pruner->CompactDataset(probe);
+        if (needs_probe) {
+          probe = pruner->CompactDataset(probe);
+          carried_probe_quality.reset();
+        }
         const PruneStats& ps = pruner->stats();
         PruneEvent ev;
         ev.items = static_cast<uint64_t>(items);
@@ -652,7 +666,9 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
 
   result.items_processed = items;
   result.loop_virtual_micros = clock.NowMicros();
-  result.final_metrics = eval_holdout();
+  // The last curve point was scored at exactly `items` on the final
+  // learner state and holdout, so it is the final evaluation.
+  result.final_metrics = result.curve.point(result.curve.size() - 1).metrics;
   result.final_quality = QualityOf(result.final_metrics, options_.metric);
   result.wall_micros = wall.ElapsedMicros();
 

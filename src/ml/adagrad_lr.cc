@@ -23,11 +23,6 @@ double AdaGradLogisticLearner::Score(SparseVectorView x) const {
   return RawScore(x);
 }
 
-double AdaGradLogisticLearner::PredictProbability(
-    SparseVectorView x) const {
-  return 1.0 / (1.0 + std::exp(-RawScore(x)));
-}
-
 void AdaGradLogisticLearner::Update(SparseVectorView x, int32_t y) {
   ZCHECK(y == 0 || y == 1) << "binary labels required, got " << y;
   ++num_updates_;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "ml/dataset.h"
 #include "ml/sparse_vector.h"
 
 namespace zombie {
@@ -30,14 +31,28 @@ class Learner {
   /// that a blank model does not spuriously "recall" every positive.
   virtual double Score(SparseVectorView x) const = 0;
 
+  /// Scores rows [begin, end) of `data` into out[0 .. end - begin).
+  /// Contract: out[k] is bit-identical to Score(data.example(begin + k).x)
+  /// — overrides may share work across rows (naive Bayes computes each
+  /// feature's log-odds weight once per batch) but never change a result.
+  /// Must be const and thread-safe like Score: ScoreAll (ml/metrics.cc)
+  /// calls it concurrently on disjoint row ranges.
+  virtual void ScoreBatch(const Dataset& data, size_t begin, size_t end,
+                          double* out) const {
+    for (size_t i = begin; i < end; ++i) {
+      out[i - begin] = Score(data.example(i).x);
+    }
+  }
+
   /// Hard prediction in {0, 1}. Default thresholds Score at zero
   /// (ties negative).
   virtual int32_t Predict(SparseVectorView x) const {
     return Score(x) > 0.0 ? 1 : 0;
   }
 
-  /// P(y == 1 | x) in [0, 1]. Default squashes Score through a logistic;
-  /// learners with calibrated probabilities override.
+  /// P(y == 1 | x) in [0, 1]. Default squashes Score through a logistic —
+  /// exact for the log-odds learners (naive Bayes, both logistic
+  /// regressions); learners calibrated some other way override.
   virtual double PredictProbability(SparseVectorView x) const {
     return 1.0 / (1.0 + std::exp(-Score(x)));
   }

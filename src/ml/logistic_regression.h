@@ -29,7 +29,6 @@ class LogisticRegressionLearner : public Learner {
 
   void Update(SparseVectorView x, int32_t y) override;
   double Score(SparseVectorView x) const override;
-  double PredictProbability(SparseVectorView x) const override;
   void Reset() override;
   std::unique_ptr<Learner> Clone() const override;
   std::string name() const override { return "logreg"; }

@@ -14,39 +14,26 @@ namespace {
 /// kShardSize * 2 the fork/join overhead outweighs the scan.
 constexpr size_t kShardSize = 128;
 
-/// Fills `scores`/`labels` (resized to data.size()) with Score()/label for
-/// every example. Serial when pool is null or the dataset is small;
-/// otherwise sharded over fixed [shard*kShardSize, ...) ranges with each
-/// shard writing only its own slots, so the filled vectors are identical to
-/// the serial fill regardless of thread count or completion order.
+}  // namespace
+
 void ScoreAll(const Learner& learner, const Dataset& data, ThreadPool* pool,
               std::vector<double>* scores, std::vector<int32_t>* labels) {
   const size_t n = data.size();
   scores->resize(n);
   labels->resize(n);
+  for (size_t i = 0; i < n; ++i) (*labels)[i] = data.label(i);
   double* score_out = scores->data();
-  int32_t* label_out = labels->data();
   if (pool == nullptr || n < 2 * kShardSize) {
-    for (size_t i = 0; i < n; ++i) {
-      ExampleView e = data.example(i);
-      score_out[i] = learner.Score(e.x);
-      label_out[i] = e.y;
-    }
+    learner.ScoreBatch(data, 0, n, score_out);
     return;
   }
   const size_t num_shards = (n + kShardSize - 1) / kShardSize;
   ParallelFor(pool, num_shards, [&](size_t shard) {
     const size_t begin = shard * kShardSize;
     const size_t end = std::min(begin + kShardSize, n);
-    for (size_t i = begin; i < end; ++i) {
-      ExampleView e = data.example(i);
-      score_out[i] = learner.Score(e.x);
-      label_out[i] = e.y;
-    }
+    learner.ScoreBatch(data, begin, end, score_out + begin);
   });
 }
-
-}  // namespace
 
 void Confusion::Add(int32_t truth, int32_t predicted) {
   if (truth == 1) {

@@ -60,10 +60,20 @@ double QualityOf(const BinaryMetrics& m, QualityMetric metric);
 /// pre-sized score vector; every reduction (confusion, threshold sweep,
 /// AUC) then runs serially over that vector. The scores — and therefore the
 /// returned metrics — are byte-identical to the serial path at any thread
-/// count, by construction rather than by tolerance. Score() must be const
-/// and thread-safe (all learners here are: scoring never mutates).
+/// count, by construction rather than by tolerance. Scores come from one
+/// Learner::ScoreBatch call per shard, which must be const and thread-safe
+/// (all learners here are: scoring never mutates).
 BinaryMetrics EvaluateLearner(const Learner& learner, const Dataset& data,
                               ThreadPool* pool = nullptr);
+
+/// Fills `scores`/`labels` (resized to data.size()) with Score()/label for
+/// every example, through one Learner::ScoreBatch call per shard. Serial
+/// (one shard) when pool is null or the dataset is small; otherwise sharded
+/// over fixed 128-row ranges with each shard writing only its own slots, so
+/// the filled vectors are identical to the serial fill regardless of thread
+/// count or completion order.
+void ScoreAll(const Learner& learner, const Dataset& data, ThreadPool* pool,
+              std::vector<double>* scores, std::vector<int32_t>* labels);
 
 /// AUC from raw (score, label) pairs; ties get midrank credit.
 double AucFromScores(const std::vector<double>& scores,

@@ -26,27 +26,35 @@ void NaiveBayesLearner::Update(SparseVectorView x, int32_t y) {
   }
 }
 
-double NaiveBayesLearner::LogOdds(SparseVectorView x) const {
-  // Uninformed model: even log-odds.
-  if (class_count_[0] + class_count_[1] == 0.0) return 0.0;
-
+NaiveBayesLearner::Smoothing NaiveBayesLearner::CurrentSmoothing() const {
+  Smoothing s;
   // Smoothed class prior log-ratio.
   double prior1 = (class_count_[1] + 1.0) /
                   (class_count_[0] + class_count_[1] + 2.0);
-  double log_odds = std::log(prior1 / (1.0 - prior1));
-
+  s.log_prior = std::log(prior1 / (1.0 - prior1));
   double v_dim = static_cast<double>(std::max<size_t>(dimension_, 1));
-  double denom0 = token_total_[0] + alpha_ * v_dim;
-  double denom1 = token_total_[1] + alpha_ * v_dim;
+  s.denom0 = token_total_[0] + alpha_ * v_dim;
+  s.denom1 = token_total_[1] + alpha_ * v_dim;
+  return s;
+}
+
+double NaiveBayesLearner::FeatureWeight(size_t f, const Smoothing& s) const {
+  double c0 = f < token_count_[0].size() ? token_count_[0][f] : 0.0;
+  double c1 = f < token_count_[1].size() ? token_count_[1][f] : 0.0;
+  double lp1 = std::log((c1 + alpha_) / s.denom1);
+  double lp0 = std::log((c0 + alpha_) / s.denom0);
+  return lp1 - lp0;
+}
+
+double NaiveBayesLearner::LogOdds(SparseVectorView x) const {
+  // Uninformed model: even log-odds.
+  if (class_count_[0] + class_count_[1] == 0.0) return 0.0;
+  const Smoothing s = CurrentSmoothing();
+  double log_odds = s.log_prior;
   for (size_t i = 0; i < x.num_nonzero(); ++i) {
     double v = x.value_at(i);
     if (v <= 0.0) continue;
-    uint32_t idx = x.index_at(i);
-    double c0 = idx < token_count_[0].size() ? token_count_[0][idx] : 0.0;
-    double c1 = idx < token_count_[1].size() ? token_count_[1][idx] : 0.0;
-    double lp1 = std::log((c1 + alpha_) / denom1);
-    double lp0 = std::log((c0 + alpha_) / denom0);
-    log_odds += v * (lp1 - lp0);
+    log_odds += v * FeatureWeight(x.index_at(i), s);
   }
   return log_odds;
 }
@@ -55,8 +63,43 @@ double NaiveBayesLearner::Score(SparseVectorView x) const {
   return LogOdds(x);
 }
 
-double NaiveBayesLearner::PredictProbability(SparseVectorView x) const {
-  return 1.0 / (1.0 + std::exp(-LogOdds(x)));
+void NaiveBayesLearner::ScoreBatch(const Dataset& data, size_t begin,
+                                   size_t end, double* out) const {
+  if (class_count_[0] + class_count_[1] == 0.0) {
+    std::fill(out, out + (end - begin), 0.0);
+    return;
+  }
+  // LogOdds with its per-feature weight hoisted out of the row loop: each
+  // distinct feature's weight is computed once, on first use, and each row
+  // then accumulates v * weight in its own nonzero order — the same
+  // operations as LogOdds, so every score is bit-identical to Score(). The
+  // table is call-local: concurrent batches share nothing mutable.
+  const Smoothing s = CurrentSmoothing();
+  // Ids past both count vectors have zero counts, hence one shared weight.
+  const size_t table_size =
+      std::max(token_count_[0].size(), token_count_[1].size());
+  const double unseen_weight = FeatureWeight(table_size, s);
+  std::vector<double> w(table_size);
+  std::vector<uint8_t> filled(table_size, 0);
+  for (size_t r = begin; r < end; ++r) {
+    SparseVectorView x = data.example(r).x;
+    double log_odds = s.log_prior;
+    for (size_t i = 0; i < x.num_nonzero(); ++i) {
+      double v = x.value_at(i);
+      if (v <= 0.0) continue;
+      uint32_t idx = x.index_at(i);
+      if (idx >= table_size) {
+        log_odds += v * unseen_weight;
+        continue;
+      }
+      if (filled[idx] == 0) {
+        w[idx] = FeatureWeight(idx, s);
+        filled[idx] = 1;
+      }
+      log_odds += v * w[idx];
+    }
+    out[r - begin] = log_odds;
+  }
 }
 
 void NaiveBayesLearner::Reset() {
@@ -80,15 +123,8 @@ bool NaiveBayesLearner::ExportWeightMagnitudes(
   // activation count and gates on a minimum-activation floor.
   const size_t dim = std::max(token_count_[0].size(), token_count_[1].size());
   out->assign(dim, 0.0);
-  const double v_dim = static_cast<double>(std::max<size_t>(dimension_, 1));
-  const double denom0 = token_total_[0] + alpha_ * v_dim;
-  const double denom1 = token_total_[1] + alpha_ * v_dim;
-  for (size_t f = 0; f < dim; ++f) {
-    const double c0 = f < token_count_[0].size() ? token_count_[0][f] : 0.0;
-    const double c1 = f < token_count_[1].size() ? token_count_[1][f] : 0.0;
-    (*out)[f] = std::abs(std::log((c1 + alpha_) / denom1) -
-                         std::log((c0 + alpha_) / denom0));
-  }
+  const Smoothing s = CurrentSmoothing();
+  for (size_t f = 0; f < dim; ++f) (*out)[f] = std::abs(FeatureWeight(f, s));
   return true;
 }
 

@@ -27,7 +27,8 @@ class NaiveBayesLearner : public Learner {
 
   void Update(SparseVectorView x, int32_t y) override;
   double Score(SparseVectorView x) const override;
-  double PredictProbability(SparseVectorView x) const override;
+  void ScoreBatch(const Dataset& data, size_t begin, size_t end,
+                  double* out) const override;
   void Reset() override;
   std::unique_ptr<Learner> Clone() const override;
   std::string name() const override { return "nb"; }
@@ -39,8 +40,21 @@ class NaiveBayesLearner : public Learner {
   double alpha() const { return alpha_; }
 
  private:
-  // Log P(y=1|x) - log P(y=0|x) with smoothing over the currently observed
-  // feature dimensionality.
+  // The model-state constants of LogOdds: the smoothed class-prior
+  // log-ratio and the per-class smoothing denominators (over the currently
+  // observed feature dimensionality).
+  struct Smoothing {
+    double log_prior = 0.0;
+    double denom0 = 0.0;
+    double denom1 = 0.0;
+  };
+  Smoothing CurrentSmoothing() const;
+
+  // log P(f|y=1) - log P(f|y=0): per unit of feature value, how far feature
+  // f moves LogOdds. Ids past the count vectors have zero counts.
+  double FeatureWeight(size_t f, const Smoothing& s) const;
+
+  // Log P(y=1|x) - log P(y=0|x).
   double LogOdds(SparseVectorView x) const;
 
   double alpha_;

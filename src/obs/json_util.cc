@@ -1,5 +1,6 @@
 #include "obs/json_util.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -46,13 +47,18 @@ void AppendJsonNumber(std::string* out, double v) {
     return;
   }
   // %.17g round-trips every double; trim to a plain integer form when the
-  // value is integral and small enough to matter for readability.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 1e15) {
-    *out += StrFormat("%lld", static_cast<long long>(v));
-    return;
-  }
-  *out += StrFormat("%.17g", v);
+  // value is integral and small enough to matter for readability (the
+  // magnitude test comes first so the cast never overflows). std::to_chars
+  // writes exactly what %lld / %.17g would ("C" locale, same precision and
+  // exponent form) without printf's format parsing.
+  char buf[32];
+  char* const end = buf + sizeof(buf);
+  const bool integral = std::fabs(v) < 1e15 &&
+                        v == static_cast<double>(static_cast<long long>(v));
+  const std::to_chars_result res =
+      integral ? std::to_chars(buf, end, static_cast<long long>(v))
+               : std::to_chars(buf, end, v, std::chars_format::general, 17);
+  out->append(buf, res.ptr);
 }
 
 Status WriteFile(const std::string& path, const std::string& data) {

@@ -15,6 +15,7 @@
 #include "ml/pegasos_svm.h"
 #include "ml/perceptron.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace zombie {
 namespace {
@@ -211,6 +212,99 @@ TEST_P(EveryLearnerTest, CompactFeaturesPreservesScoresBitExactly) {
 
 INSTANTIATE_TEST_SUITE_P(AllLearners, EveryLearnerTest,
                          testing::Values(0, 1, 2, 3, 4, 5));
+
+// --- ScoreBatch: the batched scoring path ----------------------------------
+
+// Sparse rows over [0, dim) with some negative values (naive Bayes skips
+// them, the linear learners do not) and a label tied to the low ids.
+Dataset MixedData(size_t n, uint32_t dim, Rng* rng) {
+  Dataset data;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<std::pair<uint32_t, double>> pairs;
+    const size_t nnz = 4 + rng->NextBelow(20);
+    for (size_t k = 0; k < nnz; ++k) {
+      pairs.emplace_back(static_cast<uint32_t>(rng->NextBelow(dim)),
+                         rng->NextGaussian(0.5, 1.0));
+    }
+    SparseVector x = V(std::move(pairs));
+    const int32_t y = x.num_nonzero() > 0 && x.index_at(0) < dim / 8 ? 1 : 0;
+    data.Add(x, y);
+  }
+  return data;
+}
+
+// Asserts every route to a score over `data` matches per-row Score() bit
+// for bit: one whole-dataset ScoreBatch, an interior sub-range (output
+// offset), and ScoreAll serial and on a 4-thread pool (sharded ScoreBatch
+// calls running concurrently — the TSan leg's data-race check).
+void ExpectBatchMatchesPerRow(const Learner& learner, const Dataset& data,
+                              ThreadPool* pool, const char* stage) {
+  SCOPED_TRACE(learner.name() + " " + stage);
+  const size_t n = data.size();
+  std::vector<double> want(n);
+  for (size_t i = 0; i < n; ++i) want[i] = learner.Score(data.example(i).x);
+  const size_t bytes = n * sizeof(double);
+
+  std::vector<double> batch(n);
+  learner.ScoreBatch(data, 0, n, batch.data());
+  EXPECT_EQ(std::memcmp(batch.data(), want.data(), bytes), 0);
+
+  const size_t lo = 37;
+  const size_t hi = n - 11;
+  std::vector<double> part(hi - lo);
+  learner.ScoreBatch(data, lo, hi, part.data());
+  EXPECT_EQ(std::memcmp(part.data(), want.data() + lo,
+                        part.size() * sizeof(double)),
+            0);
+
+  std::vector<double> serial;
+  std::vector<double> pooled;
+  std::vector<int32_t> labels;
+  ScoreAll(learner, data, nullptr, &serial, &labels);
+  ScoreAll(learner, data, pool, &pooled, &labels);
+  ASSERT_EQ(serial.size(), n);
+  ASSERT_EQ(pooled.size(), n);
+  EXPECT_EQ(std::memcmp(serial.data(), want.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(pooled.data(), want.data(), bytes), 0);
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(labels[i], data.label(i));
+}
+
+TEST(ScoreBatchTest, BitIdenticalToPerRowScoreForEveryLearner) {
+  std::vector<std::unique_ptr<Learner>> learners = AllLearners();
+  learners.push_back(std::make_unique<MajorityClassLearner>());
+  ThreadPool pool(4);
+  for (const auto& prototype : learners) {
+    auto learner = prototype->Clone();
+    Rng rng(49);
+    // Trained on ids < 600; scored on ids < 900, so some scored ids lie
+    // past every per-feature table the model holds.
+    Dataset train = MixedData(300, 600, &rng);
+    Dataset test = MixedData(700, 900, &rng);
+    ExpectBatchMatchesPerRow(*learner, test, &pool, "untrained");
+    TrainEpochs(learner.get(), train, 1, &rng);
+    ExpectBatchMatchesPerRow(*learner, test, &pool, "trained");
+
+    // Monotone remap keeping two ids in three below 600.
+    std::vector<uint32_t> old_to_new(600, simd::kPrunedFeature);
+    uint32_t next = 0;
+    for (uint32_t f = 0; f < 600; ++f) {
+      if (f % 3 != 2) old_to_new[f] = next++;
+    }
+    if (!learner->CompactFeatures(old_to_new, next)) continue;
+    Dataset compacted;
+    for (ExampleView e : test.examples()) {
+      std::vector<std::pair<uint32_t, double>> dense;
+      for (size_t i = 0; i < e.x.num_nonzero(); ++i) {
+        const uint32_t f = e.x.index_at(i);
+        if (f < 600 && old_to_new[f] != simd::kPrunedFeature) {
+          dense.emplace_back(old_to_new[f], e.x.value_at(i));
+        }
+      }
+      compacted.Add(V(std::move(dense)), e.y);
+    }
+    ExpectBatchMatchesPerRow(*learner, compacted, &pool, "compacted");
+  }
+}
 
 // --- Learner-specific behaviors -------------------------------------------
 

@@ -4,6 +4,11 @@
 
 #include "obs/decision_log.h"
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,7 +18,9 @@
 #include "gtest/gtest.h"
 #include "index/kmeans_grouper.h"
 #include "ml/naive_bayes.h"
+#include "obs/json_util.h"
 #include "obs/obs.h"
+#include "util/random.h"
 
 namespace zombie {
 namespace {
@@ -35,6 +42,75 @@ TEST(CacheOutcomeTest, Names) {
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kDisabled), "off");
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kMiss), "miss");
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kHit), "hit");
+}
+
+// The printf formulation AppendJsonNumber replaced; its output is the
+// serialization contract (DecisionLog digests are pinned against it).
+std::string SnprintfJsonNumber(double v) {
+  if (std::isnan(v)) return "0";
+  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
+  char buf[64];
+  if (std::fabs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+TEST(JsonNumberTest, ByteIdenticalToSnprintf) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      0.1,
+      -0.1,
+      1.0 / 3.0,
+      0.5,
+      123456.789,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN,
+      DBL_MIN / 3.0,
+      DBL_MAX,
+      -DBL_MAX,
+      1e15,
+      -1e15,
+      std::nextafter(1e15, 0.0),
+      std::nextafter(-1e15, 0.0),
+      std::nextafter(1e15, 2e15),
+      1e15 + 2.0,
+      1e15 - 0.5,
+      999999999999999.0,
+      9007199254740993.0,
+      1e21,
+      1e-5,
+      1e-4,
+      1e16,
+      1e17,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  Rng rng(20261017);
+  for (int i = 0; i < 10000; ++i) {
+    double v;
+    if (i % 2 == 0) {
+      // Any bit pattern: every exponent, subnormals, NaN payloads.
+      const uint64_t bits = rng.NextUint64();
+      std::memcpy(&v, &bits, sizeof(v));
+    } else {
+      // Magnitudes a run actually logs: rewards, scores, costs.
+      v = rng.NextGaussian() * std::pow(10.0, rng.NextDouble(-8.0, 16.0));
+      if (i % 6 == 1) v = std::round(v);
+    }
+    values.push_back(v);
+  }
+  for (double v : values) {
+    std::string got;
+    obs_internal::AppendJsonNumber(&got, v);
+    ASSERT_EQ(got, SnprintfJsonNumber(v)) << "bits of " << v;
+  }
 }
 
 TEST(DecisionLogTest, AppendRunAccumulates) {
