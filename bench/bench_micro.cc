@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -252,24 +253,6 @@ void BM_SimdDotSparseSparse(benchmark::State& state,
                           static_cast<int64_t>(kSparsePool));
 }
 
-void BM_SimdDotSparseDense(benchmark::State& state,
-                           const simd::SparseKernels* k, size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(2, 8192, nnz);
-  std::vector<double> dense(8192, 0.5);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      // Indices are all < 8192 == dense.size(), so n needs no cutoff.
-      acc += k->dot_sparse_dense(a.indices().data(), a.values().data(),
-                                 a.num_nonzero(), dense.data());
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
 void BM_SimdAddScaledTo(benchmark::State& state, const simd::SparseKernels* k,
                         size_t nnz) {
   std::vector<SparseVector> as = RandomVectorPool(3, 8192, nnz);
@@ -366,16 +349,83 @@ constexpr struct {
   const char* metric;
 } kSimdKernelNames[] = {
     {"BM_SimdDotSparseSparse", "dot_sparse_sparse"},
-    {"BM_SimdDotSparseDense", "dot_sparse_dense"},
     {"BM_SimdAddScaledTo", "add_scaled_to"},
     {"BM_SimdSquaredDistance", "squared_distance"},
     {"BM_SimdRemapSparseView", "remap_sparse_view"},
 };
 constexpr size_t kSimdBenchNnz = 128;  // matches the wrapper benches' gates
-// Small-nnz sweep for the gathered sparse*dense dot: per-nnz walls locate
-// the crossover below which gather setup loses to the scalar loop — the
-// measurement behind kSimdMinEntriesDotSparseDense (EXPERIMENTS.md).
-constexpr size_t kDotSparseDenseSweep[] = {8, 16, 32, 64, 256, 512};
+
+// One Lloyd assignment pass at the size of a WebCat session's index build:
+// 12k signature-width rows against k = 32 centroids. "scalar" is the loop
+// the index ran before the lane kernel (one SquaredL2 per row-centroid
+// pair over row-major rows); "<isa>" is AssignToNearest, the pass RunKMeans
+// runs, through that level's squared_l2_to_lanes entry. Both produce
+// identical assignments.
+constexpr size_t kAssignRows = 12000;
+constexpr size_t kAssignDim = 128;
+constexpr size_t kAssignK = 32;
+
+struct AssignFixture {
+  std::vector<double> flat_rows;  // row-major, for the scalar loop
+  DenseMatrix rows;               // the same rows, tiled
+  std::vector<double> centroids;  // k row-major rows
+};
+
+const AssignFixture& KMeansAssignFixture() {
+  static const AssignFixture* fixture = [] {
+    auto* f = new AssignFixture{std::vector<double>(kAssignRows * kAssignDim),
+                                DenseMatrix(kAssignDim), {}};
+    Rng rng(12);
+    for (double& v : f->flat_rows) v = rng.NextGaussian();
+    for (size_t i = 0; i < kAssignRows; ++i) {
+      f->rows.AppendRow(f->flat_rows.data() + i * kAssignDim);
+    }
+    for (size_t c = 0; c < kAssignK; ++c) {
+      const double* r =
+          f->flat_rows.data() + rng.NextBelow(kAssignRows) * kAssignDim;
+      f->centroids.insert(f->centroids.end(), r, r + kAssignDim);
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_KMeansAssignScalar(benchmark::State& state) {
+  const AssignFixture& f = KMeansAssignFixture();
+  for (auto _ : state) {
+    size_t sum = 0;
+    for (size_t i = 0; i < kAssignRows; ++i) {
+      double best = std::numeric_limits<double>::max();
+      size_t best_c = 0;
+      for (size_t c = 0; c < kAssignK; ++c) {
+        const double d =
+            SquaredL2(f.flat_rows.data() + i * kAssignDim,
+                      f.centroids.data() + c * kAssignDim, kAssignDim);
+        if (d < best) {
+          best = d;
+          best_c = c;
+        }
+      }
+      sum += best_c;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kAssignRows));
+}
+
+void BM_KMeansAssignLanes(benchmark::State& state,
+                          const simd::SparseKernels* k) {
+  const AssignFixture& f = KMeansAssignFixture();
+  std::vector<uint32_t> assignments(kAssignRows, 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AssignToNearest(k->squared_l2_to_lanes, f.rows,
+                                             f.centroids.data(), kAssignK,
+                                             &assignments));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kAssignRows));
+}
 
 void RegisterPerIsaKernelBenches() {
   for (simd::SimdLevel level : simd::AvailableLevels()) {
@@ -392,14 +442,6 @@ void RegisterPerIsaKernelBenches() {
         name("BM_SimdDotSparseSparse", 512).c_str(), BM_SimdDotSparseSparse,
         k, size_t{512});
     benchmark::RegisterBenchmark(
-        name("BM_SimdDotSparseDense", kSimdBenchNnz).c_str(),
-        BM_SimdDotSparseDense, k, kSimdBenchNnz);
-    for (size_t nnz : kDotSparseDenseSweep) {
-      benchmark::RegisterBenchmark(
-          name("BM_SimdDotSparseDense", nnz).c_str(), BM_SimdDotSparseDense,
-          k, nnz);
-    }
-    benchmark::RegisterBenchmark(
         name("BM_SimdRemapSparseView", kSimdBenchNnz).c_str(),
         BM_SimdRemapSparseView, k, kSimdBenchNnz);
     benchmark::RegisterBenchmark(
@@ -411,6 +453,15 @@ void RegisterPerIsaKernelBenches() {
     benchmark::RegisterBenchmark(
         ("BM_SimdDotSparseSparseSkew/" + ln).c_str(),
         BM_SimdDotSparseSparseSkew, k);
+    if (level == simd::SimdLevel::kScalar) {
+      benchmark::RegisterBenchmark("BM_KMeansAssign/scalar",
+                                   BM_KMeansAssignScalar)
+          ->Unit(benchmark::kMillisecond);
+    } else {
+      benchmark::RegisterBenchmark(("BM_KMeansAssign/" + ln).c_str(),
+                                   BM_KMeansAssignLanes, k)
+          ->Unit(benchmark::kMillisecond);
+    }
   }
 }
 
@@ -580,11 +631,11 @@ BENCHMARK(BM_ComputeSignature);
 
 void BM_KMeans(benchmark::State& state) {
   Rng rng(7);
-  std::vector<std::vector<double>> rows;
+  DenseMatrix rows(64);
+  std::vector<double> row(64);
   for (int i = 0; i < state.range(0); ++i) {
-    std::vector<double> row(64);
     for (double& v : row) v = rng.NextGaussian();
-    rows.push_back(std::move(row));
+    rows.AppendRow(row.data());
   }
   KMeansConfig cfg;
   cfg.k = 16;
@@ -765,19 +816,11 @@ void ExportPerIsaKernelRatios(const JsonExportReporter& console,
       reporter->AddMetric("ratio." + ln + ".dot_sparse_sparse_skew",
                           skew_scalar / skew_isa);
     }
-    // The cutoff sweep: where does the gathered sparse*dense kernel cross
-    // scalar as rows shrink? Documented (not gated) in EXPERIMENTS.md.
-    for (size_t nnz : kDotSparseDenseSweep) {
-      const std::string suffix = "/" + std::to_string(nnz);
-      const double scalar_wall =
-          console.WallOf("BM_SimdDotSparseDense/scalar" + suffix);
-      const double isa_wall =
-          console.WallOf("BM_SimdDotSparseDense/" + ln + suffix);
-      if (scalar_wall > 0.0 && isa_wall > 0.0) {
-        reporter->AddMetric(
-            "ratio." + ln + ".dot_sparse_dense_nnz" + std::to_string(nnz),
-            scalar_wall / isa_wall);
-      }
+    const double assign_scalar = console.WallOf("BM_KMeansAssign/scalar");
+    const double assign_isa = console.WallOf("BM_KMeansAssign/" + ln);
+    if (assign_scalar > 0.0 && assign_isa > 0.0) {
+      reporter->AddMetric("ratio." + ln + ".kmeans_assign",
+                          assign_scalar / assign_isa);
     }
   }
 }

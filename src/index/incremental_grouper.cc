@@ -40,19 +40,22 @@ GroupingResult IncrementalKMeansGrouper::GroupBase(const Corpus& corpus,
   KMeansConfig kcfg;
   kcfg.k = std::min(options_.num_groups, base_size);
   kcfg.seed = options_.seed;
-  KMeansResult km = RunKMeans(sigs.matrix.rows, kcfg);
+  const DenseMatrix& rows = sigs.matrix.rows;
+  KMeansResult km = RunKMeans(rows, kcfg);
 
   result.groups.resize(kcfg.k);
   centroids_ = std::move(km.centroids);
   member_docs_.resize(kcfg.k);
-  member_sigs_.resize(kcfg.k);
+  member_sigs_.assign(kcfg.k, DenseMatrix(rows.dim()));
   next_split_at_.assign(kcfg.k, options_.split_threshold);
+  std::vector<double> row(rows.dim());
   for (size_t i = 0; i < km.assignments.size(); ++i) {
     size_t g = km.assignments[i];
     ZCHECK_LT(g, kcfg.k);
     result.groups[g].push_back(static_cast<uint32_t>(i));
     member_docs_[g].push_back(static_cast<uint32_t>(i));
-    member_sigs_[g].push_back(std::move(sigs.matrix.rows[i]));
+    rows.CopyRow(i, row.data());
+    member_sigs_[g].AppendRow(row.data());
   }
   result.build_virtual_micros = sigs.matrix.virtual_cost_micros;
   result.build_wall_micros = watch.ElapsedMicros();
@@ -68,32 +71,25 @@ IngestAssignment IncrementalKMeansGrouper::AssignOrSplit(const Corpus& corpus,
       idf_.empty() ? nullptr : &idf_);
 
   // Nearest centroid, ties toward the lower group id (strict <).
-  size_t best = 0;
-  double best_dist = SquaredL2(sig, centroids_[0]);
-  for (size_t g = 1; g < centroids_.size(); ++g) {
-    double d = SquaredL2(sig, centroids_[g]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = g;
-    }
-  }
+  double best_dist;
+  const size_t best = NearestRow(centroids_, sig.data(), &best_dist);
 
   // Running-mean centroid update: the centroid is the mean of everything
   // ever assigned to the group (base members + arrivals), updated in
   // arrival order — deterministic because arrival order is.
-  std::vector<double>& centroid = centroids_[best];
   double n = static_cast<double>(member_docs_[best].size()) + 1.0;
-  for (size_t d = 0; d < centroid.size(); ++d) {
-    centroid[d] += (sig[d] - centroid[d]) / n;
+  for (size_t d = 0; d < sig.size(); ++d) {
+    double& c = centroids_.mutable_at(best, d);
+    c += (sig[d] - c) / n;
   }
   member_docs_[best].push_back(doc_index);
-  member_sigs_[best].push_back(std::move(sig));
+  member_sigs_[best].AppendRow(sig.data());
 
   IngestAssignment out;
   out.groups.push_back(best);
 
   if (member_docs_[best].size() < next_split_at_[best] ||
-      centroids_.size() >= options_.max_groups) {
+      centroids_.num_rows() >= options_.max_groups) {
     return out;
   }
   // Re-arm regardless of the attempt's outcome so a degenerate group
@@ -116,27 +112,32 @@ IngestAssignment IncrementalKMeansGrouper::AssignOrSplit(const Corpus& corpus,
   // The smaller half moves to the new group (ties: cluster 1 moves, so
   // the lower-id cluster keeps the old arm's history).
   uint32_t moving = count1 <= count0 ? 1u : 0u;
+  const size_t dim = sig.size();
+  std::vector<double> row(dim);
   std::vector<uint32_t> stay_docs, move_docs;
-  std::vector<std::vector<double>> stay_sigs, move_sigs;
+  DenseMatrix stay_sigs(dim), move_sigs(dim);
   for (size_t i = 0; i < split.assignments.size(); ++i) {
+    member_sigs_[best].CopyRow(i, row.data());
     if (split.assignments[i] == moving) {
       move_docs.push_back(member_docs_[best][i]);
-      move_sigs.push_back(std::move(member_sigs_[best][i]));
+      move_sigs.AppendRow(row.data());
     } else {
       stay_docs.push_back(member_docs_[best][i]);
-      stay_sigs.push_back(std::move(member_sigs_[best][i]));
+      stay_sigs.AppendRow(row.data());
     }
   }
   member_docs_[best] = std::move(stay_docs);
   member_sigs_[best] = std::move(stay_sigs);
-  centroids_[best] = split.centroids[1 - moving];
+  split.centroids.CopyRow(1 - moving, row.data());
+  centroids_.SetRow(best, row.data());
 
   NewGroupSeed seed;
   seed.source_group = best;
   seed.members = move_docs;
   out.new_groups.push_back(std::move(seed));
 
-  centroids_.push_back(split.centroids[moving]);
+  split.centroids.CopyRow(moving, row.data());
+  centroids_.AppendRow(row.data());
   member_docs_.push_back(std::move(move_docs));
   member_sigs_.push_back(std::move(move_sigs));
   next_split_at_.push_back(member_docs_.back().size() +

@@ -9,6 +9,7 @@
 
 #include "data/corpus.h"
 #include "index/grouped_corpus.h"
+#include "index/dense_matrix.h"
 #include "index/grouper.h"
 #include "index/signature.h"
 #include "index/token_grouper.h"
@@ -101,7 +102,7 @@ class IncrementalKMeansGrouper : public IncrementalGrouper {
   GroupingResult GroupBase(const Corpus& corpus, size_t base_size) override;
   IngestAssignment AssignOrSplit(const Corpus& corpus,
                                  uint32_t doc_index) override;
-  size_t num_groups() const override { return centroids_.size(); }
+  size_t num_groups() const override { return centroids_.num_rows(); }
   std::string name() const override;
   std::unique_ptr<IncrementalGrouper> Clone() const override;
 
@@ -111,12 +112,13 @@ class IncrementalKMeansGrouper : public IncrementalGrouper {
  private:
   IncrementalKMeansOptions options_;
   std::vector<double> idf_;  // frozen at GroupBase
-  std::vector<std::vector<double>> centroids_;
-  /// Current members per group (doc ids + their signatures, parallel
-  /// vectors) — the split working set. A split moves the smaller half's
-  /// entries to the new group's vectors.
+  /// One centroid row per group.
+  DenseMatrix centroids_;
+  /// Current members per group (doc ids + their signature rows, parallel)
+  /// — the split working set, one DenseMatrix per group. A split moves the
+  /// smaller half's entries to the new group.
   std::vector<std::vector<uint32_t>> member_docs_;
-  std::vector<std::vector<std::vector<double>>> member_sigs_;
+  std::vector<DenseMatrix> member_sigs_;
   /// Member count at which group g next attempts a split (re-armed after
   /// every attempt so a degenerate group cannot retry per arrival).
   std::vector<size_t> next_split_at_;

@@ -8,9 +8,11 @@
 
 namespace zombie {
 
-std::vector<double> ComputeSignature(const Document& doc,
-                                     const SignatureConfig& config,
-                                     const std::vector<double>* idf) {
+namespace {
+
+// Writes the signature into `sig`, which holds config.dimensions zeros.
+void ComputeSignatureInto(const Document& doc, const SignatureConfig& config,
+                          const std::vector<double>* idf, double* sig) {
   ZCHECK_GT(config.dimensions, 0u);
   // Layout: [hashed token weights | length bucket | domain hash] — the two
   // scalar channels live in the last dims when enabled.
@@ -19,7 +21,6 @@ std::vector<double> ComputeSignature(const Document& doc,
   ZCHECK_GT(config.dimensions, extra);
   uint32_t token_dims = config.dimensions - extra;
 
-  std::vector<double> sig(config.dimensions, 0.0);
   size_t limit = std::min(config.max_tokens, doc.tokens.size());
   for (size_t i = 0; i < limit; ++i) {
     uint32_t tok = doc.tokens[i];
@@ -48,6 +49,15 @@ std::vector<double> ComputeSignature(const Document& doc,
     // different domains usually differ — enough for k-means to exploit.
     sig[next++] = static_cast<double>(h % 4096) / 4096.0;
   }
+}
+
+}  // namespace
+
+std::vector<double> ComputeSignature(const Document& doc,
+                                     const SignatureConfig& config,
+                                     const std::vector<double>* idf) {
+  std::vector<double> sig(config.dimensions, 0.0);
+  ComputeSignatureInto(doc, config, idf, sig.data());
   return sig;
 }
 
@@ -63,24 +73,27 @@ PrefixSignatures ComputeSignaturesForPrefix(const Corpus& corpus,
   ZCHECK_LE(prefix_size, corpus.size());
   PrefixSignatures out;
   SignatureMatrix& m = out.matrix;
-  m.rows.reserve(prefix_size);
+  m.rows = DenseMatrix(config.dimensions);
   double virtual_cost = 0.0;
 
   // Optional first pass: document frequencies over the signature prefix.
   std::vector<double>& idf = out.idf;
   if (config.use_idf && prefix_size > 0) {
     std::vector<uint32_t> df(corpus.vocabulary().size(), 0);
-    std::vector<uint32_t> scratch;
+    // seen[tok] is 1 + the last prefix document that counted tok, so a
+    // token repeated within one document counts once — the same DF as a
+    // per-document sort + unique, without the sort.
+    std::vector<uint32_t> seen(df.size(), 0);
     for (size_t i = 0; i < prefix_size; ++i) {
       const Document& doc = corpus.doc(i);
+      const uint32_t stamp = static_cast<uint32_t>(i + 1);
       size_t limit = std::min(config.max_tokens, doc.tokens.size());
-      scratch.assign(doc.tokens.begin(),
-                     doc.tokens.begin() + static_cast<ptrdiff_t>(limit));
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      for (uint32_t tok : scratch) {
-        if (tok < df.size()) ++df[tok];
+      for (size_t t = 0; t < limit; ++t) {
+        const uint32_t tok = doc.tokens[t];
+        if (tok < df.size() && seen[tok] != stamp) {
+          seen[tok] = stamp;
+          ++df[tok];
+        }
       }
     }
     double n = static_cast<double>(prefix_size);
@@ -95,9 +108,12 @@ PrefixSignatures ComputeSignaturesForPrefix(const Corpus& corpus,
   const std::vector<double>* idf_ptr =
       (config.use_idf && !idf.empty()) ? &idf : nullptr;
   double passes = config.use_idf ? 2.0 : 1.0;
+  std::vector<double> sig(config.dimensions);
   for (size_t i = 0; i < prefix_size; ++i) {
     const Document& doc = corpus.doc(i);
-    m.rows.push_back(ComputeSignature(doc, config, idf_ptr));
+    std::fill(sig.begin(), sig.end(), 0.0);
+    ComputeSignatureInto(doc, config, idf_ptr, sig.data());
+    m.rows.AppendRow(sig.data());
     virtual_cost += passes * config.cost_fraction *
                     static_cast<double>(doc.extraction_cost_micros);
   }

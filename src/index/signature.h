@@ -6,6 +6,7 @@
 
 #include "data/corpus.h"
 #include "data/document.h"
+#include "index/dense_matrix.h"
 
 namespace zombie {
 
@@ -39,10 +40,11 @@ std::vector<double> ComputeSignature(const Document& doc,
                                      const SignatureConfig& config,
                                      const std::vector<double>* idf = nullptr);
 
-/// Signatures for every document, plus the modeled virtual cost of the
+/// Signatures for every document (row i is document i, stored once in the
+/// distance kernel's tiled layout), plus the modeled virtual cost of the
 /// scan (sum of cost_fraction * per-item extraction cost).
 struct SignatureMatrix {
-  std::vector<std::vector<double>> rows;
+  DenseMatrix rows;
   int64_t virtual_cost_micros = 0;
 };
 

@@ -8,30 +8,32 @@ namespace simd {
 namespace {
 
 const SparseKernels kScalarTable = {
-    &ScalarDotSparseDense,
     &ScalarDotSparseSparse,
     &ScalarAddScaledTo,
     &ScalarSquaredDistance,
     &ScalarRemapSparseView,
+    &ScalarSquaredL2ToLanes,
 };
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX2)
 const SparseKernels kAvx2Table = {
-    &Avx2DotSparseDense,
     &Avx2DotSparseSparse,
     &Avx2AddScaledTo,
     &Avx2SquaredDistance,
     &Avx2RemapSparseView,
+    &Avx2SquaredL2ToLanes,
 };
 #endif
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX512)
+// The lane kernel has no AVX-512 variant: its cost is the serial add chain
+// per lane, which wider registers do not shorten.
 const SparseKernels kAvx512Table = {
-    &Avx512DotSparseDense,
     &Avx512DotSparseSparse,
     &Avx512AddScaledTo,
     &Avx512SquaredDistance,
     &Avx512RemapSparseView,
+    &Avx2SquaredL2ToLanes,
 };
 #endif
 

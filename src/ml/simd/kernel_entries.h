@@ -20,9 +20,11 @@ namespace simd {
 /// the only project header they may include.
 constexpr uint32_t kPrunedFeature = 0xffffffffu;
 
+/// Vectors per SquaredL2ToLanes call (see SquaredL2ToLanesFn in
+/// sparse_kernels.h): the lane-interleaved block width.
+constexpr size_t kDistanceLanes = 8;
+
 #if defined(ZOMBIE_SIMD_HAVE_AVX2)
-double Avx2DotSparseDense(const uint32_t* indices, const double* values,
-                          size_t n, const double* dense);
 double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                            const uint32_t* bi, const double* bv, size_t nb);
 void Avx2AddScaledTo(const uint32_t* indices, const double* values, size_t n,
@@ -32,11 +34,12 @@ double Avx2SquaredDistance(const uint32_t* ai, const double* av, size_t na,
 size_t Avx2RemapSparseView(const uint32_t* indices, const double* values,
                            size_t n, const uint32_t* remap, size_t remap_size,
                            uint32_t* out_indices, double* out_values);
+// The AVX-512 table reuses this entry too (see dispatch.cc).
+void Avx2SquaredL2ToLanes(const double* point, const double* lanes,
+                          size_t dim, double* out);
 #endif
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX512)
-double Avx512DotSparseDense(const uint32_t* indices, const double* values,
-                            size_t n, const double* dense);
 double Avx512DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                              const uint32_t* bi, const double* bv, size_t nb);
 void Avx512AddScaledTo(const uint32_t* indices, const double* values,

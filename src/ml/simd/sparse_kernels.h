@@ -8,12 +8,14 @@
 #include "ml/simd/kernel_entries.h"  // kPrunedFeature
 #include "ml/simd/simd_level.h"
 
-// Runtime ISA dispatch for the five hot sparse kernels. The contract every
-// table entry obeys: bit-identical results to the scalar reference in
+// Runtime ISA dispatch for the hot ML and index kernels: four sparse ones
+// and one dense distance kernel. The contract every table entry obeys:
+// bit-identical results to the scalar reference in
 // sparse_kernels_scalar.h — same FP additions, same operands, same order.
 // SIMD implementations may only vectorize *index* work (scanning mismatch
-// runs, bound compares, gathers of independent slots); every accumulator
-// update stays serial and in scalar program order. Compiled with
+// runs, bound compares, gathers of independent slots) and independent
+// accumulators (one per output lane); every accumulator update stays serial
+// and in scalar program order. Compiled with
 // -ffp-contract=off so no path silently fuses a mul+add the scalar code
 // performs as two roundings.
 //
@@ -25,9 +27,6 @@
 namespace zombie {
 namespace simd {
 
-using DotSparseDenseFn = double (*)(const uint32_t* indices,
-                                    const double* values, size_t n,
-                                    const double* dense);
 using DotSparseSparseFn = double (*)(const uint32_t* ai, const double* av,
                                      size_t na, const uint32_t* bi,
                                      const double* bv, size_t nb);
@@ -51,18 +50,30 @@ using RemapSparseViewFn = size_t (*)(const uint32_t* indices,
                                      uint32_t* out_indices,
                                      double* out_values);
 
+/// Dense squared Euclidean distances from one point to kDistanceLanes (8)
+/// vectors stored lane-interleaved: component d of vector l is
+/// lanes[d * 8 + l], so `lanes` spans dim * 8 doubles. out[l] is
+/// sum over d = 0..dim-1, ascending, of (point[d] - lanes[d * 8 + l])^2,
+/// accumulated from 0.0 exactly as index/kmeans.h SquaredL2 does (one
+/// subtract, one multiply, one add per term; no FMA, no reassociation), so
+/// each lane equals SquaredL2(point, vector l) bit for bit. dim == 0 writes
+/// eight zeros. The index routes all its dense distances through here
+/// (k-means assignment and seeding, incremental nearest-centroid search).
+using SquaredL2ToLanesFn = void (*)(const double* point, const double* lanes,
+                                    size_t dim, double* out);
+
 /// One dispatch table per ISA level. Preconditions (enforced by the
 /// sparse_vector.h wrappers, which keep the cutoff/resize/empty logic):
-///   dot_sparse_dense:  every indices[i] < size of `dense`
 ///   dot_sparse_sparse: na > 0 && nb > 0
 ///   add_scaled_to:     `out` spans [0, indices[n-1]]
 ///   squared_distance:  none (empty sides flow through the tails)
+///   squared_l2_to_lanes: none (called directly by the index)
 struct SparseKernels {
-  DotSparseDenseFn dot_sparse_dense;
   DotSparseSparseFn dot_sparse_sparse;
   AddScaledToFn add_scaled_to;
   SquaredDistanceFn squared_distance;
   RemapSparseViewFn remap_sparse_view;
+  SquaredL2ToLanesFn squared_l2_to_lanes;
 };
 
 /// Table for the level resolved once from cpuid + compiled support +
@@ -86,19 +97,6 @@ std::vector<SimdLevel> AvailableLevels();
 /// feature pipeline, the call indirection costs more than SIMD saves, and
 /// both paths are bit-identical by contract so the cutover is unobservable.
 constexpr size_t kSimdMinEntries = 16;
-
-/// Per-kernel override for the gathered sparse·dense dot. The PR 8 negative
-/// result (EXPERIMENTS.md) showed the gather variant losing to scalar at the
-/// generic cutoff; the per-nnz re-measure (bench_micro BM_SimdDotSparseDense
-/// sweep, nnz 8..512) found no crossover at any size — scalar's two-load
-/// multiply-accumulate already saturates the load ports, so the gather's
-/// fixed overhead (index widening, INT32_MAX guard, lane extraction) never
-/// pays for itself. The Dot(dense) wrapper therefore routes to the scalar
-/// loop at every size; the SIMD variants stay compiled, dispatched, and
-/// bit-equality-tested (KernelsForLevel) so a part with a faster gather only
-/// needs this constant recalibrated, and the cutover stays unobservable
-/// because both paths are bit-identical by contract.
-constexpr size_t kSimdMinEntriesDotSparseDense = SIZE_MAX;
 
 }  // namespace simd
 }  // namespace zombie

@@ -1,4 +1,5 @@
-// AVX2 implementations of the four sparse kernels. Compiled with
+// AVX2 implementations of the four sparse kernels and the dense
+// point-to-lanes distance. Compiled with
 // "-mavx2 -ffp-contract=off" (see src/CMakeLists.txt); only reached through
 // the dispatch table after cpuid confirms AVX2, so nothing here may leak
 // into other TUs — helpers stay in the anonymous namespace and the only
@@ -76,37 +77,6 @@ inline double AccumulateSquares(const double* v, size_t i, size_t end,
 }
 
 }  // namespace
-
-double Avx2DotSparseDense(const uint32_t* indices, const double* values,
-                          size_t n, const double* dense) {
-  double sum = 0.0;
-  size_t i = 0;
-  // _mm256_i32gather_pd sign-extends its 32-bit indices; indices above
-  // INT32_MAX (legal in the format) must take the scalar loop. Indices are
-  // sorted, so checking the last one covers all.
-  if (n >= 4 && indices[n - 1] <= static_cast<uint32_t>(INT32_MAX)) {
-    alignas(32) double prod[4];
-    // Masked all-lanes gather with an explicit zero source: the plain
-    // gather intrinsic's "uninitialized pass-through" idiom (__Y = __Y)
-    // trips -Wmaybe-uninitialized under -Werror builds.
-    const __m256d ones =
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    for (; i + 4 <= n; i += 4) {
-      const __m128i vidx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(indices + i));
-      const __m256d gathered =
-          _mm256_mask_i32gather_pd(_mm256_setzero_pd(), dense, vidx, ones, 8);
-      _mm256_store_pd(prod,
-                      _mm256_mul_pd(_mm256_loadu_pd(values + i), gathered));
-      sum += prod[0];
-      sum += prod[1];
-      sum += prod[2];
-      sum += prod[3];
-    }
-  }
-  for (; i < n; ++i) sum += values[i] * dense[indices[i]];
-  return sum;
-}
 
 double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                            const uint32_t* bi, const double* bv, size_t nb) {
@@ -286,6 +256,27 @@ size_t Avx2RemapSparseView(const uint32_t* indices, const double* values,
     ++out;
   }
   return out;
+}
+
+void Avx2SquaredL2ToLanes(const double* point, const double* lanes,
+                          size_t dim, double* out) {
+  // Two 4-lane accumulators, one per half of the 8-lane block. Each lane
+  // takes its terms in ascending d through one sub, one mul and one add —
+  // the scalar SquaredL2 chain, vectorized across lanes only. The cost is
+  // the add latency along d, which is why there is no AVX-512 variant: one
+  // 8-wide chain would be no shorter than these two 4-wide ones.
+  __m256d lo = _mm256_setzero_pd();
+  __m256d hi = _mm256_setzero_pd();
+  for (size_t d = 0; d < dim; ++d) {
+    const __m256d p = _mm256_broadcast_sd(point + d);
+    const double* row = lanes + d * kDistanceLanes;
+    const __m256d dlo = _mm256_sub_pd(p, _mm256_loadu_pd(row));
+    const __m256d dhi = _mm256_sub_pd(p, _mm256_loadu_pd(row + 4));
+    lo = _mm256_add_pd(lo, _mm256_mul_pd(dlo, dlo));
+    hi = _mm256_add_pd(hi, _mm256_mul_pd(dhi, dhi));
+  }
+  _mm256_storeu_pd(out, lo);
+  _mm256_storeu_pd(out + 4, hi);
 }
 
 }  // namespace simd

@@ -1,4 +1,5 @@
-// AVX-512 implementations of the four sparse kernels. Compiled with
+// AVX-512 implementations of the four sparse kernels (the dense lane
+// kernel reuses the AVX2 entry; see dispatch.cc). Compiled with
 // "-mavx512f -mavx512bw -mavx512dq -mavx512vl -mavx512cd -ffp-contract=off"
 // and reached only through the dispatch table after cpuid confirms the full
 // feature set (see simd_level.cc). Same isolation and bit-identity rules as
@@ -55,31 +56,6 @@ inline double AccumulateSquares(const double* v, size_t i, size_t end,
 }
 
 }  // namespace
-
-double Avx512DotSparseDense(const uint32_t* indices, const double* values,
-                            size_t n, const double* dense) {
-  double sum = 0.0;
-  size_t i = 0;
-  // _mm512_i32gather_pd sign-extends its 32-bit indices; sorted input, so
-  // the last index bounds them all.
-  if (n >= 8 && indices[n - 1] <= static_cast<uint32_t>(INT32_MAX)) {
-    alignas(64) double prod[8];
-    for (; i + 8 <= n; i += 8) {
-      const __m256i vidx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(indices + i));
-      // Masked form with an explicit zero source: the plain gather
-      // intrinsic's "uninitialized pass-through" idiom trips
-      // -Wmaybe-uninitialized under -Werror builds.
-      const __m512d gathered = _mm512_mask_i32gather_pd(
-          _mm512_setzero_pd(), static_cast<__mmask8>(0xff), vidx, dense, 8);
-      _mm512_store_pd(prod,
-                      _mm512_mul_pd(_mm512_loadu_pd(values + i), gathered));
-      for (int k = 0; k < 8; ++k) sum += prod[k];
-    }
-  }
-  for (; i < n; ++i) sum += values[i] * dense[indices[i]];
-  return sum;
-}
 
 double Avx512DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                              const uint32_t* bi, const double* bv,
@@ -162,7 +138,9 @@ size_t Avx512RemapSparseView(const uint32_t* indices, const double* values,
     for (; i + 8 <= limit; i += 8) {
       const __m256i vidx = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(indices + i));
-      // Masked form with an explicit zero source, as in the dot gather.
+      // Masked form with an explicit zero source: the plain gather
+      // intrinsic's "uninitialized pass-through" idiom trips
+      // -Wmaybe-uninitialized under -Werror builds.
       const __m256i dense = _mm256_mmask_i32gather_epi32(
           _mm256_setzero_si256(), static_cast<__mmask8>(0xff), vidx,
           reinterpret_cast<const int*>(remap), 4);

@@ -23,6 +23,7 @@ namespace simd {
 
 /// Dense-side dot. Caller has already clamped `n` so every indices[i] is in
 /// range of `dense` (the sorted-indices lower_bound cutoff in the wrapper).
+/// Not a table entry: the wrapper calls it at every size.
 inline double ScalarDotSparseDense(const uint32_t* indices,
                                    const double* values, size_t n,
                                    const double* dense) {
@@ -128,6 +129,24 @@ inline size_t ScalarRemapSparseView(const uint32_t* indices,
     ++out;
   }
   return out;
+}
+
+/// Point-to-8-lanes squared distance (contract next to SquaredL2ToLanesFn
+/// in sparse_kernels.h). Lanes are independent accumulators, each fed its
+/// terms in ascending d, so the compiler may vectorize across lanes but the
+/// per-lane sum is the serial SquaredL2 chain.
+inline void ScalarSquaredL2ToLanes(const double* point, const double* lanes,
+                                   size_t dim, double* out) {
+  double acc[kDistanceLanes] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    const double p = point[d];
+    const double* row = lanes + d * kDistanceLanes;
+    for (size_t l = 0; l < kDistanceLanes; ++l) {
+      const double diff = p - row[l];
+      acc[l] += diff * diff;
+    }
+  }
+  for (size_t l = 0; l < kDistanceLanes; ++l) out[l] = acc[l];
 }
 
 }  // namespace simd

@@ -197,15 +197,8 @@ inline double SparseVectorView::Dot(const std::vector<double>& dense) const {
     limit = static_cast<size_t>(
         std::lower_bound(indices_, indices_ + size_, bound) - indices_);
   }
-#if defined(ZOMBIE_SIMD_ENABLED)
-  // Per-kernel cutoff: the bench_micro nnz sweep found no size at which the
-  // gathered dot beats scalar, so this currently routes every row to the
-  // scalar loop (see the kSimdMinEntriesDotSparseDense note).
-  if (limit >= simd::kSimdMinEntriesDotSparseDense) {
-    return simd::ActiveKernels().dot_sparse_dense(indices_, values_, limit,
-                                                  dense.data());
-  }
-#endif
+  // Scalar at every size: no gathered SIMD dot beat this loop at any nnz
+  // (EXPERIMENTS.md E11), so it has no dispatch table entry.
   return simd::ScalarDotSparseDense(indices_, values_, limit, dense.data());
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <set>
 
 #include "data/webcat_generator.h"
 #include "index/kmeans_grouper.h"
@@ -75,7 +77,11 @@ TEST(SignatureMatrixTest, RowsAndVirtualCost) {
   SignatureConfig cfg;
   cfg.use_idf = false;
   SignatureMatrix m = ComputeSignatures(corpus, cfg);
-  EXPECT_EQ(m.rows.size(), 100u);
+  EXPECT_EQ(m.rows.num_rows(), 100u);
+  EXPECT_EQ(m.rows.dim(), cfg.dimensions);
+  for (size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(m.rows.RowVector(i), ComputeSignature(corpus.doc(i), cfg));
+  }
   // One pass at cost_fraction of full extraction.
   double expected = 0.0;
   for (const auto& d : corpus.documents()) {
@@ -95,6 +101,33 @@ TEST(SignatureMatrixTest, IdfDoublesScanCost) {
   int64_t base = ComputeSignatures(corpus, no_idf).virtual_cost_micros;
   int64_t idf = ComputeSignatures(corpus, with_idf).virtual_cost_micros;
   EXPECT_NEAR(static_cast<double>(idf), 2.0 * static_cast<double>(base), 4.0);
+}
+
+TEST(SignatureMatrixTest, PrefixIdfCountsEachTokenOncePerDocument) {
+  WebCatOptions opts;
+  opts.num_documents = 300;
+  Corpus corpus = GenerateWebCatCorpus(opts);
+  SignatureConfig cfg;
+  cfg.max_tokens = 50;
+  const size_t prefix = 200;
+  PrefixSignatures p = ComputeSignaturesForPrefix(corpus, prefix, cfg);
+  // Reference DF: a set of each document's signature prefix.
+  std::vector<uint32_t> df(corpus.vocabulary().size(), 0);
+  size_t repeats = 0;
+  for (size_t i = 0; i < prefix; ++i) {
+    const auto& tokens = corpus.doc(i).tokens;
+    const size_t limit = std::min(cfg.max_tokens, tokens.size());
+    std::set<uint32_t> uniq(tokens.begin(), tokens.begin() + limit);
+    repeats += limit - uniq.size();
+    for (uint32_t tok : uniq) ++df[tok];
+  }
+  ASSERT_GT(repeats, 0u) << "corpus must repeat tokens within documents";
+  ASSERT_EQ(p.idf.size(), df.size());
+  for (size_t t = 0; t < df.size(); ++t) {
+    EXPECT_EQ(p.idf[t], std::log((1.0 + static_cast<double>(prefix)) /
+                                 (1.0 + static_cast<double>(df[t]))))
+        << "token " << t;
+  }
 }
 
 TEST(SignatureMatrixTest, IdfClusteringConcentratesPositives) {

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "index/kmeans.h"
 #include "ml/simd/simd_level.h"
 #include "ml/simd/sparse_kernels.h"
 #include "ml/simd/sparse_kernels_scalar.h"
@@ -75,8 +76,9 @@ std::vector<uint32_t> RandomIndices(size_t n, uint32_t lo, uint32_t hi,
   return out;
 }
 
-// Runs all four kernels from `table` against the scalar reference on one
-// operand pair and asserts bit equality of every result.
+// Runs the three sparse merge/scatter kernels from `table` against the
+// scalar reference on one operand pair and asserts bit equality of every
+// result.
 void ExpectBitIdentical(const SparseKernels& table, const Row& a,
                         const Row& b, const std::string& label) {
   SCOPED_TRACE(label);
@@ -97,20 +99,13 @@ void ExpectBitIdentical(const SparseKernels& table, const Row& a,
     EXPECT_EQ(Bits(got), Bits(want)) << "squared_distance " << got << " vs "
                                      << want;
   }
-  // Dense-side kernels need in-range indices; clamp to a dense buffer that
+  // add_scaled_to needs in-range indices; clamp to a dense buffer that
   // covers the row (skip when the row's dimension is impractically large).
   const uint32_t max_idx = a.n() == 0 ? 0 : a.idx.back();
   if (a.n() > 0 && max_idx < (1u << 16)) {
     Rng rng(777);
     std::vector<double> dense(static_cast<size_t>(max_idx) + 1);
     for (double& d : dense) d = rng.NextGaussian();
-    const double got = table.dot_sparse_dense(a.ip(), a.vp(), a.n(),
-                                              dense.data());
-    const double want = simd::ScalarDotSparseDense(a.ip(), a.vp(), a.n(),
-                                                   dense.data());
-    EXPECT_EQ(Bits(got), Bits(want)) << "dot_sparse_dense " << got << " vs "
-                                     << want;
-
     std::vector<double> out_got = dense;
     std::vector<double> out_want = dense;
     table.add_scaled_to(a.ip(), a.vp(), a.n(), -0.75, out_got.data());
@@ -475,6 +470,73 @@ TEST_F(SimdKernelsTest, DifferentialFuzzAcrossRegimes) {
       ForEachLevel(a, b,
                    StrFormat("fuzz na=%zu nb=%zu hi=%u rep=%d", regime.na,
                              regime.nb, regime.hi, rep));
+    }
+  }
+}
+
+// --- Dense point-to-lanes distance (the index's kernel) ----------------------
+
+// Values that stress rounding: mixed signs and binades, signed zeros,
+// subnormals, and magnitudes whose squares approach or pass overflow.
+double AdversarialValue(Rng* rng) {
+  switch (rng->NextBelow(8)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return (rng->NextBelow(2) == 0 ? 1.0 : -1.0) *
+             std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng->NextBelow(1000));
+    case 3:
+      return rng->NextGaussian() * 1e153;
+    case 4:
+      return rng->NextGaussian() * 1e-160;
+    default:
+      return rng->NextGaussian() * (1.0 + 1e6 * rng->NextDouble());
+  }
+}
+
+// SquaredL2ToLanes at `level` must equal eight SquaredL2 calls bit for bit.
+void ExpectLanesMatchSquaredL2(const SparseKernels& table, size_t dim,
+                               Rng* rng, const std::string& label) {
+  SCOPED_TRACE(label + " dim=" + std::to_string(dim));
+  constexpr size_t kLanes = simd::kDistanceLanes;
+  std::vector<double> point(dim);
+  for (double& v : point) v = AdversarialValue(rng);
+  std::vector<std::vector<double>> vecs(kLanes, std::vector<double>(dim));
+  for (auto& v : vecs) {
+    for (double& x : v) x = AdversarialValue(rng);
+  }
+  // Lanes equal to the point give exact-zero differences of either sign.
+  if (dim > 0) vecs[3] = point;
+  std::vector<double> lanes(dim * kLanes);
+  for (size_t d = 0; d < dim; ++d) {
+    for (size_t l = 0; l < kLanes; ++l) lanes[d * kLanes + l] = vecs[l][d];
+  }
+  double got[kLanes];
+  double want[kLanes];
+  std::memset(got, 0xA5, sizeof(got));
+  table.squared_l2_to_lanes(point.data(), lanes.data(), dim, got);
+  for (size_t l = 0; l < kLanes; ++l) want[l] = SquaredL2(point, vecs[l]);
+  EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0) << [&] {
+    std::string msg;
+    for (size_t l = 0; l < kLanes; ++l) {
+      msg += StrFormat("lane %zu: %a vs %a\n", l, got[l], want[l]);
+    }
+    return msg;
+  }();
+}
+
+TEST_F(SimdKernelsTest, SquaredL2ToLanesMatchesScalarSquaredL2) {
+  Rng rng(2024);
+  for (SimdLevel level : simd::AvailableLevels()) {
+    const SparseKernels& table = *simd::KernelsForLevel(level);
+    for (size_t dim : {0, 1, 2, 3, 4, 5, 7, 9, 31, 33, 127, 128, 129}) {
+      for (int rep = 0; rep < 20; ++rep) {
+        ExpectLanesMatchSquaredL2(table, dim, &rng,
+                                  simd::SimdLevelName(level));
+      }
     }
   }
 }
