@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
@@ -24,7 +25,9 @@
 #include "ml/simd/sparse_kernels.h"
 #include "ml/sparse_vector.h"
 #include "text/hashing_vectorizer.h"
+#include "text/term_counts.h"
 #include "text/tokenizer.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -529,6 +532,123 @@ void BM_VectorizeViews(benchmark::State& state) {
 }
 BENCHMARK(BM_VectorizeViews)->Arg(100)->Arg(400)->Arg(1600);
 
+// --- Extraction path: the radix counting routine and the slicing-by-8
+// store CRC against the code they replaced, kept bench-local and noinline
+// for the same reason as the reference kernels above.
+
+// A pool of hashed documents: 480 Zipf-distributed token ids each, hashed
+// into an 8192-dimension space the way HashingVectorizer::TransformIds
+// does. Cycling distinct documents keeps the comparison sort's branches
+// data-random, as they are on a real corpus.
+std::vector<std::vector<uint32_t>> HashedDocPool() {
+  constexpr uint32_t kDim = 8192;
+  Rng rng(31);
+  std::vector<std::vector<uint32_t>> pool(kSparsePool);
+  for (auto& doc : pool) {
+    for (int t = 0; t < 480; ++t) {
+      const uint64_t id = rng.NextZipf(20000, 1.0);
+      doc.push_back(static_cast<uint32_t>(HashCombine(id, 0) % kDim));
+    }
+  }
+  return pool;
+}
+
+// The pre-radix counting: one (index, 1.0) pair per token, a comparison
+// sort of the 16-byte pairs, then the duplicate merge (NormalizeTermCounts).
+__attribute__((noinline)) TermCounts RefCountTerms(
+    const std::vector<uint32_t>& indices) {
+  TermCounts counts;
+  counts.reserve(indices.size());
+  for (uint32_t idx : indices) counts.emplace_back(idx, 1.0);
+  std::sort(counts.begin(), counts.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t w = 0;
+  for (size_t r = 0; r < counts.size(); ++r) {
+    if (w > 0 && counts[w - 1].first == counts[r].first) {
+      counts[w - 1].second += counts[r].second;
+    } else {
+      counts[w++] = counts[r];
+    }
+  }
+  counts.resize(w);
+  return counts;
+}
+
+void BM_RefTermCounting(benchmark::State& state) {
+  const auto pool = HashedDocPool();
+  for (auto _ : state) {
+    for (const auto& doc : pool) benchmark::DoNotOptimize(RefCountTerms(doc));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kSparsePool));
+}
+BENCHMARK(BM_RefTermCounting);
+
+void BM_TermCounting(benchmark::State& state) {
+  const auto pool = HashedDocPool();
+  for (auto _ : state) {
+    for (const auto& doc : pool) {
+      std::vector<uint32_t> keys = doc;
+      TermCounts counts;
+      CountIndices(&keys, nullptr, 8192 - 1, &counts);
+      benchmark::DoNotOptimize(counts);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kSparsePool));
+}
+BENCHMARK(BM_TermCounting);
+
+// The byte-at-a-time table CRC the store verified records with before
+// util/crc32.
+__attribute__((noinline)) uint32_t RefCrc32(const uint8_t* data,
+                                            size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// A 4 KB record body: about what a 330-nonzero WebCat vector occupies.
+std::vector<uint8_t> RecordBytes() {
+  Rng rng(12);
+  std::vector<uint8_t> bytes(4096);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  return bytes;
+}
+
+void BM_RefStoreCrc32(benchmark::State& state) {
+  const std::vector<uint8_t> record = RecordBytes();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RefCrc32(record.data(), record.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(record.size()));
+}
+BENCHMARK(BM_RefStoreCrc32);
+
+void BM_StoreCrc32(benchmark::State& state) {
+  const std::vector<uint8_t> record = RecordBytes();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(record.data(), record.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(record.size()));
+}
+BENCHMARK(BM_StoreCrc32);
+
 void BM_NaiveBayesUpdate(benchmark::State& state) {
   Rng rng(4);
   NaiveBayesLearner nb;
@@ -777,7 +897,9 @@ void ExportKernelRatios(const JsonExportReporter& console,
        {"ratio.sparse_squared_distance",
         {"BM_RefSparseSquaredDistance/128", "BM_SparseSquaredDistance/128"}},
        {"ratio.nb_score_all",
-        {"BM_NaiveBayesScoreAll/per_row", "BM_NaiveBayesScoreAll/batch"}}};
+        {"BM_NaiveBayesScoreAll/per_row", "BM_NaiveBayesScoreAll/batch"}},
+       {"ratio.term_counting", {"BM_RefTermCounting", "BM_TermCounting"}},
+       {"ratio.store_crc32", {"BM_RefStoreCrc32", "BM_StoreCrc32"}}};
   for (const auto& [metric, pair] : kPairs) {
     const double old_wall = console.WallOf(pair.first);
     const double new_wall = console.WallOf(pair.second);

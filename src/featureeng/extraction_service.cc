@@ -69,11 +69,11 @@ SparseVector ExtractionService::FeaturizeFull(const Document& doc,
       if (auto stored = store_->Lookup(fingerprint_, doc_id)) {
         return stored->features;
       }
-      SparseVector x = pipeline_->Extract(doc, corpus);
-      store_->Append(fingerprint_, doc_id,
-                     FeatureCache::Entry{x, BinaryLabel(doc.label),
-                                         pipeline_->ExtractionCostMicros(doc)});
-      return x;
+      FeatureCache::Entry entry{pipeline_->Extract(doc, corpus),
+                                BinaryLabel(doc.label),
+                                pipeline_->ExtractionCostMicros(doc)};
+      store_->Append(fingerprint_, doc_id, entry);
+      return std::move(entry.features);
     }
     return pipeline_->Extract(doc, corpus);
   }
@@ -102,12 +102,14 @@ SparseVector ExtractionService::FeaturizeFull(const Document& doc,
       return std::move(stored->features);
     }
   }
-  SparseVector x = pipeline_->Extract(doc, corpus);
-  FeatureCache::Entry entry{x, BinaryLabel(doc.label),
+  // One copy on a miss: Insert's by-value parameter is the cache's own
+  // copy, and the caller's vector is moved out of `entry` afterwards.
+  FeatureCache::Entry entry{pipeline_->Extract(doc, corpus),
+                            BinaryLabel(doc.label),
                             pipeline_->ExtractionCostMicros(doc)};
   cache_->Insert(fingerprint_, doc_id, entry);
   if (store_ != nullptr) store_->Append(fingerprint_, doc_id, entry);
-  return x;
+  return std::move(entry.features);
 }
 
 size_t ExtractionService::EnqueuePrefetch(

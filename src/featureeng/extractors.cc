@@ -1,9 +1,11 @@
 #include "featureeng/extractors.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
+#include "text/term_counts.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -18,13 +20,44 @@ HashedBagOfWordsExtractor::HashedBagOfWordsExtractor(uint32_t dimension,
     : vectorizer_(dimension, /*signed_hash=*/false, salt),
       sublinear_tf_(sublinear_tf) {}
 
+namespace {
+
+// log1p(count) for the small integer counts that make up nearly every
+// bag-of-words entry, taken from a table filled by the same libm log1p at
+// first use: the same bits as calling it per entry, at a fraction of the
+// cost. The calls go through a volatile function pointer because the
+// compiler would otherwise fold them at build time with its own correctly
+// rounded log1p, which differs from libm's in the last bit for some counts
+// (log1p(13) among them).
+double Log1pCount(double count) {
+  static const std::array<double, 64> kTable = [] {
+    double (*volatile libm_log1p)(double) = std::log1p;
+    std::array<double, 64> t{};
+    for (size_t k = 0; k < t.size(); ++k) {
+      t[k] = libm_log1p(static_cast<double>(k));
+    }
+    return t;
+  }();
+  if (count >= 0.0 && count < static_cast<double>(kTable.size())) {
+    const auto k = static_cast<size_t>(count);
+    if (static_cast<double>(k) == count) return kTable[k];
+  }
+  return std::log1p(count);
+}
+
+}  // namespace
+
 void HashedBagOfWordsExtractor::Extract(const Document& doc,
                                         const Corpus& /*corpus*/,
                                         TermCounts* out) const {
-  TermCounts counts = vectorizer_.TransformIds(doc.tokens);
-  for (auto& [idx, value] : counts) {
-    if (sublinear_tf_) value = std::log1p(value);
-    out->emplace_back(idx, value);
+  const size_t start = out->size();
+  vectorizer_.CountHashes(
+      doc.tokens.size(),
+      [&](size_t i) -> uint64_t { return doc.tokens[i]; }, out);
+  if (sublinear_tf_) {
+    for (size_t i = start; i < out->size(); ++i) {
+      (*out)[i].second = Log1pCount((*out)[i].second);
+    }
   }
 }
 
@@ -42,26 +75,24 @@ uint64_t HashedBagOfWordsExtractor::Fingerprint() const {
 // --- HashedBigramExtractor --------------------------------------------------
 
 HashedBigramExtractor::HashedBigramExtractor(uint32_t dimension, uint64_t salt)
-    : dimension_(dimension), salt_(salt) {
-  ZCHECK_GT(dimension, 0u);
-}
+    : vectorizer_(dimension, /*signed_hash=*/false, salt) {}
 
 void HashedBigramExtractor::Extract(const Document& doc,
                                     const Corpus& /*corpus*/,
                                     TermCounts* out) const {
-  for (size_t i = 0; i + 1 < doc.tokens.size(); ++i) {
-    uint64_t h = HashCombine(
-        HashCombine(doc.tokens[i], doc.tokens[i + 1]), salt_);
-    out->emplace_back(static_cast<uint32_t>(h % dimension_), 1.0);
-  }
+  const size_t n = doc.tokens.size() < 2 ? 0 : doc.tokens.size() - 1;
+  vectorizer_.CountHashes(
+      n,
+      [&](size_t i) { return HashCombine(doc.tokens[i], doc.tokens[i + 1]); },
+      out);
 }
 
 std::string HashedBigramExtractor::name() const {
-  return StrFormat("bigram%u", dimension_);
+  return StrFormat("bigram%u", vectorizer_.dimension());
 }
 
 uint64_t HashedBigramExtractor::Fingerprint() const {
-  return HashCombine(FeatureExtractor::Fingerprint(), salt_);
+  return HashCombine(FeatureExtractor::Fingerprint(), vectorizer_.salt());
 }
 
 // --- KeywordExtractor -------------------------------------------------------
@@ -76,12 +107,17 @@ KeywordExtractor::KeywordExtractor(std::vector<uint32_t> keyword_token_ids)
 
 void KeywordExtractor::Extract(const Document& doc, const Corpus& /*corpus*/,
                                TermCounts* out) const {
+  std::vector<uint32_t> hits;
   for (uint32_t tok : doc.tokens) {
+    // Most tokens fall outside the keywords' id range: two predictable
+    // compares instead of a binary search.
+    if (tok < keywords_.front() || tok > keywords_.back()) continue;
     auto it = std::lower_bound(keywords_.begin(), keywords_.end(), tok);
     if (it != keywords_.end() && *it == tok) {
-      out->emplace_back(static_cast<uint32_t>(it - keywords_.begin()), 1.0);
+      hits.push_back(static_cast<uint32_t>(it - keywords_.begin()));
     }
   }
+  CountIndices(&hits, nullptr, dimension() - 1, out);
 }
 
 std::string KeywordExtractor::name() const {
@@ -135,11 +171,8 @@ void TokenDiversityExtractor::Extract(const Document& doc,
     out->emplace_back(0, 1.0);
     return;
   }
-  std::vector<uint32_t> distinct = doc.tokens;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  double ratio = static_cast<double>(distinct.size()) /
+  const size_t distinct = CountTokenIds(doc.tokens).size();
+  double ratio = static_cast<double>(distinct) /
                  static_cast<double>(doc.tokens.size());
   uint32_t bucket = std::min(
       num_buckets_ - 1,

@@ -37,14 +37,15 @@ class HashedBigramExtractor : public FeatureExtractor {
 
   void Extract(const Document& doc, const Corpus& corpus,
                TermCounts* out) const override;
-  uint32_t dimension() const override { return dimension_; }
+  uint32_t dimension() const override { return vectorizer_.dimension(); }
   std::string name() const override;
   double cost_factor() const override { return 1.5; }
   uint64_t Fingerprint() const override;  // folds in the hash salt
 
  private:
-  uint32_t dimension_;
-  uint64_t salt_;
+  // Hashes each bigram's pair hash with the salt, exactly as an unsigned
+  // vectorizer hashes a token id.
+  HashingVectorizer vectorizer_;
 };
 
 /// Indicator features for a fixed list of vocabulary token ids (the

@@ -26,7 +26,8 @@ class FeatureExtractor {
 
   /// Appends this extractor's features (local indices) to `out`. `out` is
   /// not cleared; indices may repeat and be unsorted — the pipeline
-  /// normalizes.
+  /// normalizes. Emitting them sorted and de-duplicated (as the built-in
+  /// extractors do, via CountIndices) lets the pipeline skip its sort.
   virtual void Extract(const Document& doc, const Corpus& corpus,
                        TermCounts* out) const = 0;
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -76,11 +77,6 @@ void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 void StoreI32(uint8_t* p, int32_t v) { std::memcpy(p, &v, sizeof(v)); }
 void StoreI64(uint8_t* p, int64_t v) { std::memcpy(p, &v, sizeof(v)); }
-double LoadF64(const uint8_t* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 // Bucket heads are the commit points shared with concurrently running
 // processes, so they get real atomic accesses (8-aligned by layout):
@@ -92,27 +88,6 @@ uint64_t AtomicLoadU64(const uint8_t* p) {
 }
 void AtomicStoreU64(uint8_t* p, uint64_t v) {
   __atomic_store_n(reinterpret_cast<uint64_t*>(p), v, __ATOMIC_RELEASE);
-}
-
-// CRC-32 (reflected polynomial 0xEDB88320, the zlib/gzip flavor), table
-// driven; fast enough for record-sized payloads on the append/open path.
-uint32_t Crc32(const uint8_t* data, uint64_t len) {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (uint64_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
 }
 
 bool Retained(const std::vector<uint64_t>& retain, uint64_t fingerprint) {
@@ -262,7 +237,12 @@ bool PersistentFeatureStore::ValidateRecordLocked(uint64_t offset,
   // mutation non-atomic. Torn bodies are still caught; a torn link cannot
   // happen (single aligned store).
   if (LoadU32(rec) != Crc32(payload + 8, payload_len - 8)) return false;
+  // Links only ever point at older records, which sit at lower offsets
+  // (appends go past every reachable record; unlinking repoints to an even
+  // older one). A link that does not point strictly backwards is corrupt,
+  // and rejecting it makes every chain walk terminate: no cycle survives.
   *next = LoadU64(payload + kPayloadNext);
+  if (*next >= offset) return false;
   *record_end = offset + RecordSize(payload_len);
   return true;
 }
@@ -345,11 +325,16 @@ std::optional<FeatureCache::Entry> PersistentFeatureStore::Lookup(
   uint64_t nnz = LoadU32(payload + kPayloadNnz);
   uint64_t idx_bytes = nnz * 4;
   if (nnz % 2 != 0) idx_bytes += 4;
+  // The index and value columns decode as two bulk copies.
   const uint8_t* indices = payload + kPayloadIndices;
   const uint8_t* values = indices + idx_bytes;
   FeatureCache::Entry entry;
-  for (uint64_t i = 0; i < nnz; ++i) {
-    entry.features.PushBack(LoadU32(indices + i * 4), LoadF64(values + i * 8));
+  if (!entry.features.AssignSorted(indices, values, nnz)) {
+    // A record that passed its CRC but is not a valid sparse vector can
+    // only come from a faulty writer; serve it as a miss (the caller
+    // re-extracts) rather than trusting it.
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
   }
   entry.label = LoadI32(payload + kPayloadLabel);
   entry.cost_micros = LoadI64(payload + kPayloadCost);
@@ -400,10 +385,11 @@ bool PersistentFeatureStore::Append(uint64_t pipeline_fingerprint,
   if (nnz % 2 != 0) idx_bytes += 4;
   uint8_t* indices = payload + kPayloadIndices;
   uint8_t* values = indices + idx_bytes;
-  for (uint64_t i = 0; i < nnz; ++i) {
-    StoreU32(indices + i * 4, entry.features.indices()[i]);
-    double v = entry.features.values()[i];
-    std::memcpy(values + i * 8, &v, sizeof(v));
+  if (nnz > 0) {  // an empty vector's data() may be null
+    std::memcpy(indices, entry.features.indices().data(),
+                static_cast<size_t>(nnz) * sizeof(uint32_t));
+    std::memcpy(values, entry.features.values().data(),
+                static_cast<size_t>(nnz) * sizeof(double));
   }
   StoreU32(rec + 4, static_cast<uint32_t>(payload_len));
   StoreU32(rec, Crc32(payload + 8, payload_len - 8));

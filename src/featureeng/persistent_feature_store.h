@@ -160,7 +160,8 @@ class PersistentFeatureStore {
   /// fingerprints (writer), truncates at corruption, recomputes the arena
   /// watermark.
   void RecoverLocked() ZOMBIE_REQUIRES(mu_);
-  /// Validates one record at `offset` against the current mapping; fills
+  /// Validates one record at `offset` against the current mapping (bounds,
+  /// length, CRC, and a `next` link pointing strictly backwards); fills
   /// `*next` and `*record_end` on success.
   bool ValidateRecordLocked(uint64_t offset, uint64_t* next,
                             uint64_t* record_end) const

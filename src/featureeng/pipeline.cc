@@ -22,16 +22,23 @@ FeaturePipeline& FeaturePipeline::Add(
 
 SparseVector FeaturePipeline::Extract(const Document& doc,
                                       const Corpus& corpus) const {
+  // Each extractor appends its local pairs straight onto `assembled`; they
+  // are then range-checked and shifted into the extractor's offset in
+  // place. The built-in extractors emit sorted runs, so the concatenation
+  // is already in index order and FromPairs skips its sort.
   TermCounts assembled;
-  TermCounts local;
   for (size_t i = 0; i < extractors_.size(); ++i) {
-    local.clear();
-    extractors_[i]->Extract(doc, corpus, &local);
-    uint32_t dim = extractors_[i]->dimension();
-    for (const auto& [idx, value] : local) {
+    const size_t start = assembled.size();
+    extractors_[i]->Extract(doc, corpus, &assembled);
+    ZCHECK_GE(assembled.size(), start)
+        << "extractor " << extractors_[i]->name()
+        << " removed pairs it did not emit (Extract must append)";
+    const uint32_t dim = extractors_[i]->dimension();
+    for (size_t k = start; k < assembled.size(); ++k) {
+      uint32_t& idx = assembled[k].first;
       ZCHECK_LT(idx, dim) << "extractor " << extractors_[i]->name()
                           << " emitted an out-of-range index";
-      assembled.emplace_back(offsets_[i] + idx, value);
+      idx += offsets_[i];
     }
   }
   SparseVector v = SparseVector::FromPairs(std::move(assembled));

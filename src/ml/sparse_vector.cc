@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -47,8 +48,15 @@ std::string SparseVectorView::ToString() const {
 
 SparseVector SparseVector::FromPairs(
     std::vector<std::pair<uint32_t, double>> pairs) {
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Extractors emit sorted runs and the pipeline concatenates them in
+  // offset order, so the common input is already sorted: one read instead
+  // of a comparison sort. Custom extractors may still emit any order.
+  const auto by_index = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(pairs.begin(), pairs.end(), by_index)) {
+    std::sort(pairs.begin(), pairs.end(), by_index);
+  }
   SparseVector v;
   v.indices_.reserve(pairs.size());
   v.values_.reserve(pairs.size());
@@ -80,6 +88,38 @@ void SparseVector::PushBack(uint32_t index, double value) {
   if (value == 0.0) return;
   indices_.push_back(index);
   values_.push_back(value);
+}
+
+bool SparseVector::AssignSorted(const void* indices, const void* values,
+                                size_t n) {
+  indices_.resize(n);
+  values_.resize(n);
+  if (n == 0) return true;
+  std::memcpy(indices_.data(), indices, n * sizeof(uint32_t));
+  std::memcpy(values_.data(), values, n * sizeof(double));
+  bool ascending = true;
+  bool has_zero = false;
+  for (size_t i = 0; i < n; ++i) {
+    ascending &= i == 0 || indices_[i - 1] < indices_[i];
+    has_zero |= values_[i] == 0.0;
+  }
+  if (!ascending) {
+    indices_.clear();
+    values_.clear();
+    return false;
+  }
+  if (has_zero) {
+    size_t w = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (values_[i] == 0.0) continue;
+      indices_[w] = indices_[i];
+      values_[w] = values_[i];
+      ++w;
+    }
+    indices_.resize(w);
+    values_.resize(w);
+  }
+  return true;
 }
 
 void SparseVector::Scale(double factor) {

@@ -98,7 +98,8 @@ class SparseVector {
   SparseVector() = default;
 
   /// Builds from possibly unsorted/duplicated pairs; duplicates are summed
-  /// and zero-valued entries dropped.
+  /// and zero-valued entries dropped. Input already in index order (what
+  /// the built-in extractors emit) skips the sort.
   static SparseVector FromPairs(
       std::vector<std::pair<uint32_t, double>> pairs);
 
@@ -108,6 +109,13 @@ class SparseVector {
   /// Appends an entry; index must be strictly greater than the last index
   /// (checked). Fast path for already-ordered construction.
   void PushBack(uint32_t index, double value);
+
+  /// Replaces the contents with `n` entries copied from two native-endian
+  /// columns at any alignment — `n` uint32 indices and `n` doubles, such
+  /// as a store record's — checking in one pass what PushBack checks per
+  /// element: returns false and leaves *this empty unless the indices
+  /// strictly ascend. Zero values are dropped, as PushBack drops them.
+  bool AssignSorted(const void* indices, const void* values, size_t n);
 
   /// The non-owning view of this vector (valid while *this is alive and
   /// unmodified). The implicit conversion lets owning vectors flow into

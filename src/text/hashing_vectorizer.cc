@@ -20,44 +20,28 @@ uint32_t HashingVectorizer::IndexOf(std::string_view token) const {
 TermCounts HashingVectorizer::Transform(
     const std::vector<std::string>& tokens) const {
   TermCounts counts;
-  counts.reserve(tokens.size());
-  for (const auto& tok : tokens) {
-    uint64_t h = HashCombine(HashBytes(tok.data(), tok.size()), salt_);
-    uint32_t idx = static_cast<uint32_t>(h % dimension_);
-    double sign = 1.0;
-    if (signed_hash_ && ((h >> 32) & 1) != 0) sign = -1.0;
-    counts.emplace_back(idx, sign);
-  }
-  NormalizeTermCounts(&counts);
+  CountHashes(
+      tokens.size(),
+      [&](size_t i) { return HashBytes(tokens[i].data(), tokens[i].size()); },
+      &counts);
   return counts;
 }
 
 void HashingVectorizer::TransformViews(
     const std::vector<std::string_view>& tokens, TermCounts* scratch) const {
   scratch->clear();
-  scratch->reserve(tokens.size());
-  for (std::string_view tok : tokens) {
-    uint64_t h = HashCombine(HashBytes(tok.data(), tok.size()), salt_);
-    uint32_t idx = ReduceHash(h);
-    double sign = 1.0;
-    if (signed_hash_ && ((h >> 32) & 1) != 0) sign = -1.0;
-    scratch->emplace_back(idx, sign);
-  }
-  NormalizeTermCounts(scratch);
+  CountHashes(
+      tokens.size(),
+      [&](size_t i) { return HashBytes(tokens[i].data(), tokens[i].size()); },
+      scratch);
 }
 
 TermCounts HashingVectorizer::TransformIds(
     const std::vector<uint32_t>& token_ids) const {
   TermCounts counts;
-  counts.reserve(token_ids.size());
-  for (uint32_t id : token_ids) {
-    uint64_t h = HashCombine(id, salt_);
-    uint32_t idx = static_cast<uint32_t>(h % dimension_);
-    double sign = 1.0;
-    if (signed_hash_ && ((h >> 32) & 1) != 0) sign = -1.0;
-    counts.emplace_back(idx, sign);
-  }
-  NormalizeTermCounts(&counts);
+  CountHashes(
+      token_ids.size(), [&](size_t i) -> uint64_t { return token_ids[i]; },
+      &counts);
   return counts;
 }
 

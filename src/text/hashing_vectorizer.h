@@ -1,12 +1,14 @@
 #ifndef ZOMBIE_TEXT_HASHING_VECTORIZER_H_
 #define ZOMBIE_TEXT_HASHING_VECTORIZER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "text/term_counts.h"
+#include "util/random.h"
 
 namespace zombie {
 
@@ -38,6 +40,30 @@ class HashingVectorizer {
   /// The feature index a single token maps to.
   uint32_t IndexOf(std::string_view token) const;
 
+  /// The shared body of every transform: salts `token_hash(i)` (a 64-bit
+  /// hash of token i) for each of `n` tokens, reduces it to an index, and
+  /// appends the sorted (index, count) pairs to `out` through
+  /// CountIndices. With signed hashing a token counts -1 when bit 32 of
+  /// its salted hash is set. Extractors over other token units (bigrams)
+  /// hash through here too.
+  template <typename TokenHash>
+  void CountHashes(size_t n, TokenHash token_hash, TermCounts* out) const {
+    std::vector<uint32_t> positive;
+    std::vector<uint32_t> negative;
+    positive.reserve(n);
+    if (signed_hash_) negative.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t h = HashCombine(token_hash(i), salt_);
+      const uint32_t idx = ReduceHash(h);
+      if (signed_hash_ && ((h >> 32) & 1) != 0) {
+        negative.push_back(idx);
+      } else {
+        positive.push_back(idx);
+      }
+    }
+    CountIndices(&positive, &negative, dimension_ - 1, out);
+  }
+
   uint32_t dimension() const { return dimension_; }
   bool signed_hash() const { return signed_hash_; }
   uint64_t salt() const { return salt_; }
@@ -47,11 +73,13 @@ class HashingVectorizer {
   // dimensions (the common configuration) `h % dimension_` equals
   // `h & (dimension_ - 1)` exactly, and the AND avoids a 64-bit divide per
   // token in the hot loop; the fallback modulo keeps arbitrary dimensions
-  // working. Bit-identical to a plain modulo either way.
+  // working. Bit-identical to a plain modulo either way. Every transform
+  // and IndexOf reduce through here.
   uint32_t ReduceHash(uint64_t h) const {
     return index_mask_ != 0 ? static_cast<uint32_t>(h & index_mask_)
                             : static_cast<uint32_t>(h % dimension_);
   }
+
 
   uint32_t dimension_;
   bool signed_hash_;

@@ -1,7 +1,6 @@
 #ifndef ZOMBIE_TEXT_TERM_COUNTS_H_
 #define ZOMBIE_TEXT_TERM_COUNTS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -13,41 +12,31 @@ namespace zombie {
 /// the conversion so that text/ and ml/ stay independent).
 using TermCounts = std::vector<std::pair<uint32_t, double>>;
 
-/// Aggregates raw token ids into sorted (id, count) pairs.
-inline TermCounts CountTokenIds(const std::vector<uint32_t>& token_ids) {
-  TermCounts counts;
-  if (token_ids.empty()) return counts;
-  std::vector<uint32_t> sorted = token_ids;
-  std::sort(sorted.begin(), sorted.end());
-  counts.reserve(sorted.size() / 2 + 1);
-  uint32_t current = sorted[0];
-  double run = 0.0;
-  for (uint32_t id : sorted) {
-    if (id != current) {
-      counts.emplace_back(current, run);
-      current = id;
-      run = 0.0;
-    }
-    run += 1.0;
-  }
-  counts.emplace_back(current, run);
-  return counts;
-}
+/// The one counting routine of the extraction path: appends to `out` the
+/// sorted (index, count) pairs of a multiset of indices, all at most
+/// `max_index` (a hashed feature space of dimension D passes D - 1).
+/// count = occurrences in `positive` - occurrences in `negative`; the
+/// negative list carries the tokens a signed hash flips, and is null or
+/// empty otherwise. An index seen in either list is emitted even when its
+/// count cancels to zero.
+///
+/// Counting, not comparison sorting: both lists are sorted in place by an
+/// LSD radix sort on the uint32 keys — one 8-bit pass per byte of
+/// `max_index`, skipping any pass whose byte is the same for every key —
+/// and the runs are then counted in one merge. The cost follows the
+/// number of indices, not the dimension (at most four passes over a
+/// 256-entry histogram each), so a 2^20-dimension hash costs what a 256-
+/// dimension one does per token. Lists too short to amortise the
+/// histograms (under 64 keys) take a plain sort of the keys instead.
+///
+/// Every count is an integer sum, exact in a double in any order, so the
+/// output is bit-identical to summing ±1.0 per occurrence after any sort.
+void CountIndices(std::vector<uint32_t>* positive,
+                  std::vector<uint32_t>* negative, uint32_t max_index,
+                  TermCounts* out);
 
-/// Merges duplicate indices (summing weights) and sorts by index.
-inline void NormalizeTermCounts(TermCounts* counts) {
-  std::sort(counts->begin(), counts->end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t w = 0;
-  for (size_t r = 0; r < counts->size(); ++r) {
-    if (w > 0 && (*counts)[w - 1].first == (*counts)[r].first) {
-      (*counts)[w - 1].second += (*counts)[r].second;
-    } else {
-      (*counts)[w++] = (*counts)[r];
-    }
-  }
-  counts->resize(w);
-}
+/// Aggregates raw token ids into sorted (id, count) pairs.
+TermCounts CountTokenIds(const std::vector<uint32_t>& token_ids);
 
 }  // namespace zombie
 

@@ -1,6 +1,7 @@
 #ifndef ZOMBIE_TEXT_TFIDF_H_
 #define ZOMBIE_TEXT_TFIDF_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 

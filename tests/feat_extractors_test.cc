@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/corpus.h"
 
@@ -46,6 +47,23 @@ TEST(BowExtractorTest, SublinearTfDampens) {
   EXPECT_NEAR(sub_out[0].second, std::log(5.0), 1e-12);
 }
 
+// The sublinear weights come from a table for small counts; every one must
+// carry libm's bits exactly (called through a volatile pointer here so the
+// compiler cannot substitute its own constant-folded log1p).
+TEST(BowExtractorTest, SublinearWeightsAreLibmLog1pBits) {
+  double (*volatile libm_log1p)(double) = std::log1p;
+  HashedBagOfWordsExtractor sub(1 << 16, /*sublinear_tf=*/true);
+  Corpus c = EmptyCorpus();
+  for (uint32_t count = 1; count <= 80; ++count) {
+    TermCounts out;
+    sub.Extract(Doc(std::vector<uint32_t>(count, 9)), c, &out);
+    ASSERT_EQ(out.size(), 1u);
+    const double want = libm_log1p(static_cast<double>(count));
+    EXPECT_EQ(std::memcmp(&out[0].second, &want, sizeof(double)), 0)
+        << "count " << count;
+  }
+}
+
 TEST(BowExtractorTest, NameEncodesDimension) {
   EXPECT_EQ(HashedBagOfWordsExtractor(4096).name(), "bow4096");
 }
@@ -60,6 +78,24 @@ TEST(BigramExtractorTest, EmitsAdjacentPairs) {
   e.Extract(Doc({1}), c, &out);
   EXPECT_TRUE(out.empty());
   EXPECT_GT(e.cost_factor(), 1.0);  // heavier than unigrams
+}
+
+TEST(BigramExtractorTest, EmitsSortedCountedPairs) {
+  HashedBigramExtractor e(64);
+  Corpus c = EmptyCorpus();
+  TermCounts out = {{99, 9.0}};  // Extract appends
+  e.Extract(Doc({1, 2, 1, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9}), c, &out);
+  ASSERT_GE(out.size(), 2u);
+  double total = 0.0;
+  for (size_t i = 1; i < out.size(); ++i) {
+    EXPECT_LT(out[i].first, 64u);
+    if (i > 1) {
+      EXPECT_LT(out[i - 1].first, out[i].first);
+    }
+    total += out[i].second;
+  }
+  EXPECT_DOUBLE_EQ(total, 12.0);  // 13 tokens, 12 bigrams
+  EXPECT_EQ(out[0], (std::pair<uint32_t, double>{99, 9.0}));
 }
 
 TEST(BigramExtractorTest, OrderSensitive) {
@@ -89,6 +125,15 @@ TEST(KeywordExtractorTest, EmitsOnlyKeywordHits) {
   }
   EXPECT_DOUBLE_EQ(hits_20, 2.0);
   EXPECT_DOUBLE_EQ(hits_30, 1.0);
+}
+
+TEST(KeywordExtractorTest, EmitsSortedCountedPairs) {
+  KeywordExtractor e({40, 10, 30, 20});
+  Corpus c = EmptyCorpus();
+  TermCounts out;
+  e.Extract(Doc({40, 1, 10, 40, 50, 40, 20, 9, 41}), c, &out);
+  const TermCounts want = {{0, 1.0}, {1, 1.0}, {3, 3.0}};
+  EXPECT_EQ(out, want);
 }
 
 TEST(KeywordExtractorTest, DedupsKeywordList) {

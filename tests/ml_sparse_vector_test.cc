@@ -46,6 +46,47 @@ TEST(SparseVectorTest, PushBackSkipsZeros) {
   EXPECT_TRUE(v.empty());
 }
 
+TEST(SparseVectorTest, FromPairsSortedInputWithDuplicates) {
+  // Already in index order (the built-in extractors' output): no sort, the
+  // adjacent duplicates still merge and zeros still drop.
+  SparseVector v = V({{1, 1.0}, {3, 2.0}, {3, 0.5}, {6, 0.0}, {9, -1.0}});
+  ASSERT_EQ(v.num_nonzero(), 3u);
+  EXPECT_EQ(v.index_at(1), 3u);
+  EXPECT_DOUBLE_EQ(v.value_at(1), 2.5);
+  EXPECT_EQ(v.index_at(2), 9u);
+}
+
+TEST(SparseVectorTest, AssignSortedCopiesValidColumns) {
+  const uint32_t idx[] = {2, 5, 9};
+  const double val[] = {1.5, -2.0, 0.25};
+  SparseVector v;
+  v.PushBack(0, 7.0);  // replaced, not appended to
+  ASSERT_TRUE(v.AssignSorted(idx, val, 3));
+  EXPECT_EQ(v, V({{2, 1.5}, {5, -2.0}, {9, 0.25}}));
+  ASSERT_TRUE(v.AssignSorted(idx, val, 0));
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(SparseVectorTest, AssignSortedRejectsUnorderedIndices) {
+  const uint32_t dup[] = {2, 5, 5};
+  const uint32_t down[] = {2, 9, 5};
+  const double val[] = {1.0, 2.0, 3.0};
+  SparseVector v;
+  v.PushBack(0, 7.0);
+  EXPECT_FALSE(v.AssignSorted(dup, val, 3));
+  EXPECT_TRUE(v.empty());
+  EXPECT_FALSE(v.AssignSorted(down, val, 3));
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(SparseVectorTest, AssignSortedDropsZerosLikePushBack) {
+  const uint32_t idx[] = {1, 4, 8};
+  const double val[] = {1.0, 0.0, 3.0};
+  SparseVector v;
+  ASSERT_TRUE(v.AssignSorted(idx, val, 3));
+  EXPECT_EQ(v, V({{1, 1.0}, {8, 3.0}}));
+}
+
 TEST(SparseVectorTest, GetBinarySearch) {
   SparseVector v = V({{10, 1.5}, {20, -2.5}});
   EXPECT_DOUBLE_EQ(v.Get(10), 1.5);

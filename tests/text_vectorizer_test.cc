@@ -124,14 +124,5 @@ TEST(TermCountsTest, CountTokenIdsAggregates) {
   EXPECT_EQ(c[2], (std::pair<uint32_t, double>{9, 1.0}));
 }
 
-TEST(TermCountsTest, NormalizeMergesDuplicates) {
-  TermCounts c = {{7, 1.0}, {3, 2.0}, {7, 0.5}};
-  NormalizeTermCounts(&c);
-  ASSERT_EQ(c.size(), 2u);
-  EXPECT_EQ(c[0].first, 3u);
-  EXPECT_EQ(c[1].first, 7u);
-  EXPECT_DOUBLE_EQ(c[1].second, 1.5);
-}
-
 }  // namespace
 }  // namespace zombie
