@@ -8,7 +8,6 @@
 #include "index/kmeans_grouper.h"
 #include "index/token_grouper.h"
 #include "ml/naive_bayes.h"
-#include "util/clock.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -79,50 +78,6 @@ void Run() {
     }
   }
   FinishTable(table, "e2_speedup");
-
-  // --- Parallel holdout evaluation: wall-clock ratio of the serial eval
-  // path over the sharded one (holdout_eval_threads), on a run where the
-  // periodic evaluation dominates (large holdout, tight cadence). Results
-  // must be identical — the sharded reduction is deterministic — so the
-  // two runs are also an end-to-end A/B equivalence check.
-  {
-    Task task = MakeTask(TaskKind::kWebCat, BenchCorpusSize(), 42);
-    KMeansGrouper grouper(32, 7);
-    GroupingResult grouping = grouper.Group(task.corpus);
-    EngineOptions opts = BenchEngineOptions(1);
-    opts.holdout_size = 2000;
-    opts.eval_every = 10;
-    NaiveBayesLearner nb;
-    LabelReward reward;
-
-    Stopwatch serial_watch;
-    RunResult serial = RunZombieTrial(task, grouping, *MakePolicy(PolicyKind::kEpsilonGreedy),
-                                      reward, nb, opts);
-    const int64_t serial_wall = serial_watch.ElapsedMicros();
-
-    opts.holdout_eval_threads = 4;
-    Stopwatch parallel_watch;
-    RunResult parallel = RunZombieTrial(task, grouping, *MakePolicy(PolicyKind::kEpsilonGreedy),
-                                        reward, nb, opts);
-    const int64_t parallel_wall = parallel_watch.ElapsedMicros();
-
-    const bool identical =
-        serial.final_quality == parallel.final_quality &&
-        serial.items_processed == parallel.items_processed &&
-        serial.loop_virtual_micros == parallel.loop_virtual_micros;
-    ZCHECK(identical)
-        << "parallel holdout evaluation changed the run result";
-    const double ratio = parallel_wall > 0
-                             ? static_cast<double>(serial_wall) /
-                                   static_cast<double>(parallel_wall)
-                             : 0.0;
-    reporter.AddMetric("parallel_holdout_eval_wall_ratio", ratio);
-    std::printf(
-        "\nparallel holdout eval (threads=4, holdout=2000): wall ratio "
-        "%.2fx, results identical: %s\n",
-        ratio, identical ? "yes" : "no");
-  }
-
   reporter.Finish();
   std::printf(
       "\nnote: *_t columns are virtual data-processing time of trial 1 "

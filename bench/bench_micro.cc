@@ -143,29 +143,6 @@ __attribute__((noinline)) double RefDotDense(const SparseVector& a,
   return sum;
 }
 
-__attribute__((noinline)) double RefSquaredDistance(const SparseVector& a,
-                                                    const SparseVector& b) {
-  double s = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.num_nonzero() || j < b.num_nonzero()) {
-    if (j >= b.num_nonzero() ||
-        (i < a.num_nonzero() && a.index_at(i) < b.index_at(j))) {
-      s += a.value_at(i) * a.value_at(i);
-      ++i;
-    } else if (i >= a.num_nonzero() || a.index_at(i) > b.index_at(j)) {
-      s += b.value_at(j) * b.value_at(j);
-      ++j;
-    } else {
-      double d = a.value_at(i) - b.value_at(j);
-      s += d * d;
-      ++i;
-      ++j;
-    }
-  }
-  return s;
-}
-
 void BM_RefSparseDotSparse(benchmark::State& state) {
   // Same seeds/sizes as BM_SparseDotSparse: identical inputs.
   const size_t nnz = static_cast<size_t>(state.range(0));
@@ -195,38 +172,6 @@ void BM_RefSparseDotDense(benchmark::State& state) {
 }
 BENCHMARK(BM_RefSparseDotDense)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_SparseSquaredDistance(benchmark::State& state) {
-  const size_t nnz = static_cast<size_t>(state.range(0));
-  std::vector<SparseVector> as = RandomVectorPool(13, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(113, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      acc += as[p].SquaredDistance(bs[p]);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-BENCHMARK(BM_SparseSquaredDistance)->Arg(128)->Arg(512);
-
-void BM_RefSparseSquaredDistance(benchmark::State& state) {
-  const size_t nnz = static_cast<size_t>(state.range(0));
-  std::vector<SparseVector> as = RandomVectorPool(13, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(113, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      acc += RefSquaredDistance(as[p], bs[p]);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-BENCHMARK(BM_RefSparseSquaredDistance)->Arg(128)->Arg(512);
-
 // --- Per-ISA kernel benches (runtime-registered) --------------------------
 //
 // One benchmark per (available SIMD level, kernel), calling the level's
@@ -249,42 +194,6 @@ void BM_SimdDotSparseSparse(benchmark::State& state,
       acc += k->dot_sparse_sparse(a.indices().data(), a.values().data(),
                                   a.num_nonzero(), b.indices().data(),
                                   b.values().data(), b.num_nonzero());
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-void BM_SimdAddScaledTo(benchmark::State& state, const simd::SparseKernels* k,
-                        size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(3, 8192, nnz);
-  std::vector<double> out(8192, 0.0);
-  for (auto _ : state) {
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      k->add_scaled_to(a.indices().data(), a.values().data(), a.num_nonzero(),
-                       0.5, out.data());
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-void BM_SimdSquaredDistance(benchmark::State& state,
-                            const simd::SparseKernels* k, size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(13, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(113, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      const SparseVector& b = bs[p];
-      acc += k->squared_distance(a.indices().data(), a.values().data(),
-                                 a.num_nonzero(), b.indices().data(),
-                                 b.values().data(), b.num_nonzero());
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -352,8 +261,6 @@ constexpr struct {
   const char* metric;
 } kSimdKernelNames[] = {
     {"BM_SimdDotSparseSparse", "dot_sparse_sparse"},
-    {"BM_SimdAddScaledTo", "add_scaled_to"},
-    {"BM_SimdSquaredDistance", "squared_distance"},
     {"BM_SimdRemapSparseView", "remap_sparse_view"},
 };
 constexpr size_t kSimdBenchNnz = 128;  // matches the wrapper benches' gates
@@ -447,12 +354,6 @@ void RegisterPerIsaKernelBenches() {
     benchmark::RegisterBenchmark(
         name("BM_SimdRemapSparseView", kSimdBenchNnz).c_str(),
         BM_SimdRemapSparseView, k, kSimdBenchNnz);
-    benchmark::RegisterBenchmark(
-        name("BM_SimdAddScaledTo", kSimdBenchNnz).c_str(), BM_SimdAddScaledTo,
-        k, kSimdBenchNnz);
-    benchmark::RegisterBenchmark(
-        name("BM_SimdSquaredDistance", kSimdBenchNnz).c_str(),
-        BM_SimdSquaredDistance, k, kSimdBenchNnz);
     benchmark::RegisterBenchmark(
         ("BM_SimdDotSparseSparseSkew/" + ln).c_str(),
         BM_SimdDotSparseSparseSkew, k);
@@ -696,9 +597,9 @@ void BM_NaiveBayesScoreAll(benchmark::State& state, bool batched) {
   std::vector<double> scores(holdout.size());
   for (auto _ : state) {
     if (batched) {
-      nb.ScoreBatch(holdout, 0, holdout.size(), scores.data());
+      nb.ScoreBatch(holdout, scores.data());
     } else {
-      nb.Learner::ScoreBatch(holdout, 0, holdout.size(), scores.data());
+      nb.Learner::ScoreBatch(holdout, scores.data());
     }
     benchmark::DoNotOptimize(scores.data());
     benchmark::ClobberMemory();
@@ -894,8 +795,6 @@ void ExportKernelRatios(const JsonExportReporter& console,
         {"BM_RefSparseDotSparse/128", "BM_SparseDotSparse/128"}},
        {"ratio.sparse_dot_dense",
         {"BM_RefSparseDotDense/128", "BM_SparseDotDense/128"}},
-       {"ratio.sparse_squared_distance",
-        {"BM_RefSparseSquaredDistance/128", "BM_SparseSquaredDistance/128"}},
        {"ratio.nb_score_all",
         {"BM_NaiveBayesScoreAll/per_row", "BM_NaiveBayesScoreAll/batch"}},
        {"ratio.term_counting", {"BM_RefTermCounting", "BM_TermCounting"}},

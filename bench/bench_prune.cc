@@ -9,8 +9,8 @@
 // Determinism ZCHECKs (the contract the speedup rests on):
 //   - a conservative preset with enabled=false is byte-identical (RunResult
 //     fingerprint) to the default prune-off options, per seed;
-//   - the pruned run itself is byte-identical across cache on/off and
-//     holdout-eval-thread counts, per seed.
+//   - the pruned run itself is byte-identical across cache on/off, per
+//     seed.
 
 #include <cstdlib>
 #include <string>
@@ -34,7 +34,7 @@ namespace {
 /// deliberately frequent (every 5 items over a corpus-half holdout) — the
 /// regime where the inner loop is holdout-kernel-bound and pruning pays.
 EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
-                                size_t eval_threads) {
+                                const FeaturePrunerOptions& pruning) {
   EngineOptions opts = BenchEngineOptions(seed);
   opts.holdout_size = 1000;
   opts.eval_every = 5;
@@ -44,21 +44,19 @@ EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
   opts.stop.plateau_enabled = false;
   opts.stop.decline_enabled = false;
   opts.feature_cache = cache;
-  opts.holdout_eval_threads = eval_threads;
+  opts.pruning = pruning;
   return opts;
 }
 
 RunResult RunArm(const Task& task, const GroupingResult& grouping,
-                 uint64_t seed, FeatureCache* cache, size_t eval_threads,
-                 const FeaturePrunerOptions* pruning_override) {
-  EngineOptions opts = PruneBenchOptions(seed, cache, eval_threads);
+                 uint64_t seed, FeatureCache* cache,
+                 const FeaturePrunerOptions& pruning) {
+  EngineOptions opts = PruneBenchOptions(seed, cache, pruning);
   ZombieEngine engine(&task.corpus, &task.pipeline, opts);
   EpsilonGreedyPolicy policy;
   NaiveBayesLearner nb;
   LabelReward reward;
-  RunSpec spec(grouping, policy, nb, reward);
-  spec.pruning_override = pruning_override;
-  return engine.Run(spec);
+  return engine.Run(RunSpec(grouping, policy, nb, reward));
 }
 
 double MeanAccuracy(const std::vector<RunResult>& runs) {
@@ -79,10 +77,10 @@ constexpr int kWallReps = 3;
 
 MeasuredArm MeasureArm(const Task& task, const GroupingResult& grouping,
                        uint64_t seed, FeatureCache* cache,
-                       const FeaturePrunerOptions* pruning_override) {
+                       const FeaturePrunerOptions& pruning) {
   MeasuredArm out;
   for (int rep = 0; rep < kWallReps; ++rep) {
-    RunResult r = RunArm(task, grouping, seed, cache, 1, pruning_override);
+    RunResult r = RunArm(task, grouping, seed, cache, pruning);
     const double wall = static_cast<double>(r.wall_micros);
     if (rep == 0) {
       out.wall_micros = wall;
@@ -123,6 +121,7 @@ void Run() {
     }
   }
 
+  const FeaturePrunerOptions off_options;
   const FeaturePrunerOptions conservative = ConservativePruning();
   const FeaturePrunerOptions aggressive = AggressivePruning();
   FeaturePrunerOptions conservative_disabled = conservative;
@@ -135,27 +134,24 @@ void Run() {
   double wall_cons = 0.0;
   double wall_aggr = 0.0;
   for (uint64_t seed : BenchSeeds()) {
-    MeasuredArm off = MeasureArm(task, grouping, seed, &cache, nullptr);
+    MeasuredArm off = MeasureArm(task, grouping, seed, &cache, off_options);
 
     // Prune-off equivalence: a disabled preset must be a perfect no-op.
     RunResult off_preset =
-        RunArm(task, grouping, seed, &cache, 1, &conservative_disabled);
+        RunArm(task, grouping, seed, &cache, conservative_disabled);
     ZCHECK(off_preset.Fingerprint() == off.run.Fingerprint())
         << "disabled pruning preset changed the run (seed " << seed << ")";
 
-    MeasuredArm cons = MeasureArm(task, grouping, seed, &cache, &conservative);
+    MeasuredArm cons = MeasureArm(task, grouping, seed, &cache, conservative);
 
-    // Prune-on determinism: byte-identical without the cache and at a
-    // different holdout-eval thread count (wall-clock-only knobs).
+    // Prune-on determinism: byte-identical without the cache (a
+    // wall-clock-only knob).
     RunResult cons_nocache =
-        RunArm(task, grouping, seed, nullptr, 1, &conservative);
+        RunArm(task, grouping, seed, nullptr, conservative);
     ZCHECK(cons_nocache.Fingerprint() == cons.run.Fingerprint())
         << "pruned run depends on the feature cache (seed " << seed << ")";
-    RunResult cons_mt = RunArm(task, grouping, seed, &cache, 2, &conservative);
-    ZCHECK(cons_mt.Fingerprint() == cons.run.Fingerprint())
-        << "pruned run depends on eval threads (seed " << seed << ")";
 
-    MeasuredArm aggr = MeasureArm(task, grouping, seed, &cache, &aggressive);
+    MeasuredArm aggr = MeasureArm(task, grouping, seed, &cache, aggressive);
 
     wall_off += off.wall_micros;
     wall_cons += cons.wall_micros;

@@ -9,8 +9,8 @@
 // Determinism ZCHECKs (the contract the feature rests on):
 //   - a drained stream (base == corpus, empty schedule) is byte-identical
 //     (RunResult fingerprint) to the plain offline engine, per seed;
-//   - the streaming run itself is byte-identical across cache on/off and
-//     holdout-eval-thread counts, per seed.
+//   - the streaming run itself is byte-identical across cache on/off, per
+//     seed.
 
 #include <cstdio>
 #include <utility>
@@ -31,13 +31,12 @@ namespace {
 /// Fixed-budget engine options: early stops off and max_items covering the
 /// whole corpus, so both arms run to exhaustion and compare like for like.
 EngineOptions StreamBenchOptions(const Task& task, uint64_t seed,
-                                 FeatureCache* cache, size_t eval_threads) {
+                                 FeatureCache* cache) {
   EngineOptions opts = BenchEngineOptions(seed);
   opts.stop.max_items = task.corpus.size();
   opts.stop.plateau_enabled = false;
   opts.stop.decline_enabled = false;
   opts.feature_cache = cache;
-  opts.holdout_eval_threads = eval_threads;
   return opts;
 }
 
@@ -49,10 +48,10 @@ struct ArmOutcome {
 };
 
 ArmOutcome RunArm(const Task& task, const GroupingResult& grouping,
-                  uint64_t seed, FeatureCache* cache, size_t eval_threads,
+                  uint64_t seed, FeatureCache* cache,
                   const ScheduledCorpusSource* stream,
                   const IncrementalGrouper* igrouper) {
-  EngineOptions opts = StreamBenchOptions(task, seed, cache, eval_threads);
+  EngineOptions opts = StreamBenchOptions(task, seed, cache);
   ObsContext obs;
   opts.obs = &obs;
   ZombieEngine engine(&task.corpus, &task.pipeline, opts);
@@ -88,7 +87,7 @@ MeasuredArm MeasureArm(const Task& task, const GroupingResult& grouping,
                        const IncrementalGrouper* igrouper) {
   MeasuredArm out;
   for (int rep = 0; rep < kWallReps; ++rep) {
-    ArmOutcome o = RunArm(task, grouping, seed, cache, 1, stream, igrouper);
+    ArmOutcome o = RunArm(task, grouping, seed, cache, stream, igrouper);
     const double wall = static_cast<double>(o.run.wall_micros);
     if (rep == 0) {
       out.wall_micros = wall;
@@ -154,7 +153,7 @@ void Run() {
 
     // Drained-stream equivalence: the streaming machinery with nothing to
     // ingest must be a perfect no-op against the offline engine.
-    ArmOutcome drained_run = RunArm(task, offline_grouping, seed, &cache, 1,
+    ArmOutcome drained_run = RunArm(task, offline_grouping, seed, &cache,
                                     &drained, &igrouper_full);
     ZCHECK(drained_run.run.Fingerprint() == off.outcome.run.Fingerprint())
         << "drained stream changed the run (seed " << seed << ")";
@@ -162,16 +161,12 @@ void Run() {
     MeasuredArm on =
         MeasureArm(task, stream_grouping, seed, &cache, &source, &igrouper);
 
-    // Streaming determinism: byte-identical without the cache and at a
-    // different holdout-eval thread count (wall-clock-only knobs).
+    // Streaming determinism: byte-identical without the cache (a
+    // wall-clock-only knob).
     ArmOutcome on_nocache =
-        RunArm(task, stream_grouping, seed, nullptr, 1, &source, &igrouper);
+        RunArm(task, stream_grouping, seed, nullptr, &source, &igrouper);
     ZCHECK(on_nocache.run.Fingerprint() == on.outcome.run.Fingerprint())
         << "streaming run depends on the feature cache (seed " << seed << ")";
-    ArmOutcome on_mt =
-        RunArm(task, stream_grouping, seed, &cache, 2, &source, &igrouper);
-    ZCHECK(on_mt.run.Fingerprint() == on.outcome.run.Fingerprint())
-        << "streaming run depends on eval threads (seed " << seed << ")";
 
     wall_off += off.wall_micros;
     wall_on += on.wall_micros;

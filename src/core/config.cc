@@ -19,9 +19,6 @@ Status EngineOptions::Validate() const {
   if (stop.max_items == 0) {
     return Status::InvalidArgument("max_items must be positive");
   }
-  if (holdout_eval_threads == 0) {
-    return Status::InvalidArgument("holdout_eval_threads must be positive");
-  }
   if (Status s = pruning.Validate(); !s.ok()) return s;
   return Status::OK();
 }

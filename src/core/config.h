@@ -105,24 +105,14 @@ struct EngineOptions {
   /// (asserted by tests and bench_obs_overhead), and the disabled path
   /// (nullptr) costs only null checks.
   ObsContext* obs = nullptr;
-  /// Worker threads for the periodic holdout evaluation (1 = serial, no
-  /// pool is created). The engine owns a private pool rather than sharing
-  /// the experiment driver's: a nested ParallelFor on the driver's pool
-  /// could have every worker blocked in Wait() on subtasks stuck behind
-  /// them in the same queue. Scoring shards over fixed index ranges into
-  /// disjoint slots of one pre-sized vector and every reduction stays
-  /// serial, so RunResult is byte-identical at any thread count (see
-  /// EvaluateLearner's determinism contract; asserted by
-  /// core_engine_holdout_test).
-  size_t holdout_eval_threads = 1;
   /// Online feature pruning (ml/feature_pruner.h): off by default, and off
   /// must be a perfect no-op — fingerprints and decision logs byte-identical
   /// to a build without the pruner. When enabled, the mask freezes at a
   /// holdout-eval boundary from virtual-time-visible state only, so results
   /// are still byte-identical across thread counts, cache/store modes, and
   /// forced SIMD levels (only wall-clock and — by design — the post-freeze
-  /// learning trajectory change versus pruning off). Overridable per run
-  /// via RunSpec::pruning_override.
+  /// learning trajectory change versus pruning off). The experiment
+  /// driver's prunings axis sets it per trial.
   FeaturePrunerOptions pruning;
 
   /// Validates knob ranges.

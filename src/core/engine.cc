@@ -18,7 +18,6 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace zombie {
 
@@ -152,12 +151,9 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   // from virtual-time-visible state only, so the pruned run is itself
   // byte-identical across thread counts, cache/store modes, and SIMD
   // levels.
-  const FeaturePrunerOptions& prune_opts = spec.pruning_override != nullptr
-                                               ? *spec.pruning_override
-                                               : options_.pruning;
   std::unique_ptr<FeaturePruner> pruner;
-  if (prune_opts.enabled) {
-    pruner = std::make_unique<FeaturePruner>(prune_opts);
+  if (options_.pruning.enabled) {
+    pruner = std::make_unique<FeaturePruner>(options_.pruning);
   }
 
   CacheOutcome last_cache = CacheOutcome::kDisabled;
@@ -258,18 +254,6 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     clock.Reset();  // loop_virtual_micros is tracked separately
   }
   HoldoutEvaluator holdout(std::move(holdout_data));
-
-  // Private pool for sharded holdout scoring (never the caller's driver
-  // pool: nesting ParallelFor inside a driver task can leave every worker
-  // blocked in Wait() on subtasks queued behind them). Scoring writes
-  // disjoint slots of a pre-sized vector over fixed shard boundaries and
-  // all reductions run serially, so results are byte-identical at any
-  // thread count. The serial default (threads == 1) creates no pool and
-  // allocates nothing extra.
-  std::unique_ptr<ThreadPool> eval_pool;
-  if (options_.holdout_eval_threads > 1) {
-    eval_pool = std::make_unique<ThreadPool>(options_.holdout_eval_threads);
-  }
 
   // Probe subset for probe-requiring rewards.
   Dataset probe;
@@ -445,12 +429,11 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     BinaryMetrics m;
     {
       // The holdout scoring pass proper (no curve/stop bookkeeping): what
-      // holdout_eval_threads parallelizes and engine.holdout_eval_us times.
+      // engine.holdout_eval_us times.
       ScopedHistogramTimer holdout_eval_timer(holdout_eval_hist);
       m = options_.tune_threshold
-              ? EvaluateLearnerTuned(*learner, holdout.holdout(), nullptr,
-                                     eval_pool.get())
-              : holdout.Evaluate(*learner, eval_pool.get());
+              ? EvaluateLearnerTuned(*learner, holdout.holdout())
+              : holdout.Evaluate(*learner);
     }
     CurvePoint p;
     p.items_processed = items;

@@ -145,6 +145,7 @@ StatusOr<std::vector<TrialResult>> ExperimentDriver::RunGrid(
                          "driver");
     EngineOptions opts = options_.engine;
     opts.seed = spec.seed;
+    if (spec.pruning != nullptr) opts.pruning = *spec.pruning;
     ZombieEngine engine(corpus_, service_.get(), opts);
     std::unique_ptr<BanditPolicy> policy = MakePolicy(spec.policy);
     if (policy == nullptr) {
@@ -153,7 +154,6 @@ StatusOr<std::vector<TrialResult>> ExperimentDriver::RunGrid(
     TrialResult& out = results[i];
     out.spec = spec;
     RunSpec run_spec(*spec.grouping, *policy, *spec.learner, *spec.reward);
-    run_spec.pruning_override = spec.pruning;
     run_spec.stream = options_.stream;
     run_spec.incremental_grouper = options_.incremental_grouper;
     out.run = engine.Run(run_spec);

@@ -39,7 +39,7 @@ struct ExperimentGrid {
   std::vector<const GroupingResult*> groupings;
   std::vector<const RewardFunction*> rewards;
   std::vector<const Learner*> learners;
-  /// Per-trial RunSpec::pruning_override values. nullptr entries mean "no
+  /// Per-trial EngineOptions::pruning values. nullptr entries mean "no
   /// override" (the shared EngineOptions::pruning applies) — the prune-off
   /// arm of a prune-off/prune-on A/B.
   std::vector<const FeaturePrunerOptions*> prunings;

@@ -7,7 +7,6 @@
 #include "core/run_result.h"
 #include "featureeng/extraction_service.h"
 #include "index/grouper.h"
-#include "ml/feature_pruner.h"
 #include "ml/learner.h"
 
 namespace zombie {
@@ -57,11 +56,6 @@ struct RunSpec {
   /// budget. Wall-clock-only either way: results are byte-identical with
   /// prefetch on or off (see ExtractionService).
   PrefetchOptions prefetch;
-
-  /// Per-run override of EngineOptions::pruning (borrowed; null = use the
-  /// engine-wide setting). Lets one engine run prune-off and prune-on arms
-  /// back to back — the bench_prune frontier — without rebuilding engines.
-  const FeaturePrunerOptions* pruning_override = nullptr;
 
   /// Streaming ingestion. When `stream` is set, `grouping` must be the
   /// base grouping returned by `incremental_grouper->GroupBase(corpus,

@@ -25,9 +25,8 @@ HoldoutEvaluator::HoldoutEvaluator(Dataset holdout)
   ZCHECK(!holdout_.empty()) << "holdout must be non-empty";
 }
 
-BinaryMetrics HoldoutEvaluator::Evaluate(const Learner& learner,
-                                         ThreadPool* pool) const {
-  return EvaluateLearner(learner, holdout_, pool);
+BinaryMetrics HoldoutEvaluator::Evaluate(const Learner& learner) const {
+  return EvaluateLearner(learner, holdout_);
 }
 
 double HoldoutEvaluator::Quality(const Learner& learner,

@@ -23,11 +23,8 @@ class HoldoutEvaluator {
  public:
   explicit HoldoutEvaluator(Dataset holdout);
 
-  /// Full metrics of the learner on the holdout. `pool` optionally shards
-  /// the scoring pass (see EvaluateLearner's determinism contract: results
-  /// are byte-identical to the serial path at any thread count).
-  BinaryMetrics Evaluate(const Learner& learner,
-                         ThreadPool* pool = nullptr) const;
+  /// Full metrics of the learner on the holdout.
+  BinaryMetrics Evaluate(const Learner& learner) const;
 
   /// Just the selected quality scalar.
   double Quality(const Learner& learner, QualityMetric metric) const;

@@ -31,16 +31,13 @@ class Learner {
   /// that a blank model does not spuriously "recall" every positive.
   virtual double Score(SparseVectorView x) const = 0;
 
-  /// Scores rows [begin, end) of `data` into out[0 .. end - begin).
-  /// Contract: out[k] is bit-identical to Score(data.example(begin + k).x)
-  /// — overrides may share work across rows (naive Bayes computes each
+  /// Scores every row of `data` into out[0 .. data.size()).
+  /// Contract: out[k] is bit-identical to Score(data.example(k).x) —
+  /// overrides may share work across rows (naive Bayes computes each
   /// feature's log-odds weight once per batch) but never change a result.
-  /// Must be const and thread-safe like Score: ScoreAll (ml/metrics.cc)
-  /// calls it concurrently on disjoint row ranges.
-  virtual void ScoreBatch(const Dataset& data, size_t begin, size_t end,
-                          double* out) const {
-    for (size_t i = begin; i < end; ++i) {
-      out[i - begin] = Score(data.example(i).x);
+  virtual void ScoreBatch(const Dataset& data, double* out) const {
+    for (size_t i = 0; i < data.size(); ++i) {
+      out[i] = Score(data.example(i).x);
     }
   }
 

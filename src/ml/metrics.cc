@@ -4,35 +4,16 @@
 
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace zombie {
 
-namespace {
-
-/// Minimum examples per shard when scoring on a pool; below
-/// kShardSize * 2 the fork/join overhead outweighs the scan.
-constexpr size_t kShardSize = 128;
-
-}  // namespace
-
-void ScoreAll(const Learner& learner, const Dataset& data, ThreadPool* pool,
+void ScoreAll(const Learner& learner, const Dataset& data,
               std::vector<double>* scores, std::vector<int32_t>* labels) {
   const size_t n = data.size();
   scores->resize(n);
   labels->resize(n);
   for (size_t i = 0; i < n; ++i) (*labels)[i] = data.label(i);
-  double* score_out = scores->data();
-  if (pool == nullptr || n < 2 * kShardSize) {
-    learner.ScoreBatch(data, 0, n, score_out);
-    return;
-  }
-  const size_t num_shards = (n + kShardSize - 1) / kShardSize;
-  ParallelFor(pool, num_shards, [&](size_t shard) {
-    const size_t begin = shard * kShardSize;
-    const size_t end = std::min(begin + kShardSize, n);
-    learner.ScoreBatch(data, begin, end, score_out + begin);
-  });
+  learner.ScoreBatch(data, scores->data());
 }
 
 void Confusion::Add(int32_t truth, int32_t predicted) {
@@ -142,11 +123,10 @@ double AucFromScores(const std::vector<double>& scores,
 
 BinaryMetrics EvaluateLearnerTuned(const Learner& learner,
                                    const Dataset& data,
-                                   double* best_threshold,
-                                   ThreadPool* pool) {
+                                   double* best_threshold) {
   std::vector<double> scores;
   std::vector<int32_t> labels;
-  ScoreAll(learner, data, pool, &scores, &labels);
+  ScoreAll(learner, data, &scores, &labels);
   int64_t total_pos = 0;
   for (int32_t y : labels) total_pos += y == 1;
 
@@ -198,12 +178,11 @@ BinaryMetrics EvaluateLearnerTuned(const Learner& learner,
   return m;
 }
 
-BinaryMetrics EvaluateLearner(const Learner& learner, const Dataset& data,
-                              ThreadPool* pool) {
+BinaryMetrics EvaluateLearner(const Learner& learner, const Dataset& data) {
   BinaryMetrics m;
   std::vector<double> scores;
   std::vector<int32_t> labels;
-  ScoreAll(learner, data, pool, &scores, &labels);
+  ScoreAll(learner, data, &scores, &labels);
   for (size_t i = 0; i < scores.size(); ++i) {
     m.confusion.Add(labels[i], scores[i] > 0.0 ? 1 : 0);
   }

@@ -10,8 +10,6 @@
 
 namespace zombie {
 
-class ThreadPool;
-
 /// Binary confusion counts, positive class == 1.
 struct Confusion {
   int64_t tp = 0;
@@ -54,25 +52,11 @@ double QualityOf(const BinaryMetrics& m, QualityMetric metric);
 /// Scores every example with `learner` and computes the full bundle.
 /// AUC is the rank-based (Mann–Whitney) estimate over Score() values; it is
 /// 0 when either class is absent from `data`.
-///
-/// Determinism contract for `pool`: when non-null, scoring is sharded over
-/// fixed index ranges and each shard writes its own disjoint slots of a
-/// pre-sized score vector; every reduction (confusion, threshold sweep,
-/// AUC) then runs serially over that vector. The scores — and therefore the
-/// returned metrics — are byte-identical to the serial path at any thread
-/// count, by construction rather than by tolerance. Scores come from one
-/// Learner::ScoreBatch call per shard, which must be const and thread-safe
-/// (all learners here are: scoring never mutates).
-BinaryMetrics EvaluateLearner(const Learner& learner, const Dataset& data,
-                              ThreadPool* pool = nullptr);
+BinaryMetrics EvaluateLearner(const Learner& learner, const Dataset& data);
 
 /// Fills `scores`/`labels` (resized to data.size()) with Score()/label for
-/// every example, through one Learner::ScoreBatch call per shard. Serial
-/// (one shard) when pool is null or the dataset is small; otherwise sharded
-/// over fixed 128-row ranges with each shard writing only its own slots, so
-/// the filled vectors are identical to the serial fill regardless of thread
-/// count or completion order.
-void ScoreAll(const Learner& learner, const Dataset& data, ThreadPool* pool,
+/// every example, through one Learner::ScoreBatch call.
+void ScoreAll(const Learner& learner, const Dataset& data,
               std::vector<double>* scores, std::vector<int32_t>* labels);
 
 /// AUC from raw (score, label) pairs; ties get midrank credit.
@@ -87,8 +71,7 @@ double AucFromScores(const std::vector<double>& scores,
 /// learner's operating point without changing its ranking quality.
 BinaryMetrics EvaluateLearnerTuned(const Learner& learner,
                                    const Dataset& data,
-                                   double* best_threshold = nullptr,
-                                   ThreadPool* pool = nullptr);
+                                   double* best_threshold = nullptr);
 
 }  // namespace zombie
 

@@ -63,17 +63,15 @@ double NaiveBayesLearner::Score(SparseVectorView x) const {
   return LogOdds(x);
 }
 
-void NaiveBayesLearner::ScoreBatch(const Dataset& data, size_t begin,
-                                   size_t end, double* out) const {
+void NaiveBayesLearner::ScoreBatch(const Dataset& data, double* out) const {
   if (class_count_[0] + class_count_[1] == 0.0) {
-    std::fill(out, out + (end - begin), 0.0);
+    std::fill(out, out + data.size(), 0.0);
     return;
   }
   // LogOdds with its per-feature weight hoisted out of the row loop: each
   // distinct feature's weight is computed once, on first use, and each row
   // then accumulates v * weight in its own nonzero order — the same
-  // operations as LogOdds, so every score is bit-identical to Score(). The
-  // table is call-local: concurrent batches share nothing mutable.
+  // operations as LogOdds, so every score is bit-identical to Score().
   const Smoothing s = CurrentSmoothing();
   // Ids past both count vectors have zero counts, hence one shared weight.
   const size_t table_size =
@@ -81,7 +79,7 @@ void NaiveBayesLearner::ScoreBatch(const Dataset& data, size_t begin,
   const double unseen_weight = FeatureWeight(table_size, s);
   std::vector<double> w(table_size);
   std::vector<uint8_t> filled(table_size, 0);
-  for (size_t r = begin; r < end; ++r) {
+  for (size_t r = 0; r < data.size(); ++r) {
     SparseVectorView x = data.example(r).x;
     double log_odds = s.log_prior;
     for (size_t i = 0; i < x.num_nonzero(); ++i) {
@@ -98,7 +96,7 @@ void NaiveBayesLearner::ScoreBatch(const Dataset& data, size_t begin,
       }
       log_odds += v * w[idx];
     }
-    out[r - begin] = log_odds;
+    out[r] = log_odds;
   }
 }
 

@@ -27,8 +27,7 @@ class NaiveBayesLearner : public Learner {
 
   void Update(SparseVectorView x, int32_t y) override;
   double Score(SparseVectorView x) const override;
-  void ScoreBatch(const Dataset& data, size_t begin, size_t end,
-                  double* out) const override;
+  void ScoreBatch(const Dataset& data, double* out) const override;
   void Reset() override;
   std::unique_ptr<Learner> Clone() const override;
   std::string name() const override { return "nb"; }

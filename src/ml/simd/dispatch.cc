@@ -9,8 +9,6 @@ namespace {
 
 const SparseKernels kScalarTable = {
     &ScalarDotSparseSparse,
-    &ScalarAddScaledTo,
-    &ScalarSquaredDistance,
     &ScalarRemapSparseView,
     &ScalarSquaredL2ToLanes,
 };
@@ -18,8 +16,6 @@ const SparseKernels kScalarTable = {
 #if defined(ZOMBIE_SIMD_HAVE_AVX2)
 const SparseKernels kAvx2Table = {
     &Avx2DotSparseSparse,
-    &Avx2AddScaledTo,
-    &Avx2SquaredDistance,
     &Avx2RemapSparseView,
     &Avx2SquaredL2ToLanes,
 };
@@ -30,8 +26,6 @@ const SparseKernels kAvx2Table = {
 // per lane, which wider registers do not shorten.
 const SparseKernels kAvx512Table = {
     &Avx512DotSparseSparse,
-    &Avx512AddScaledTo,
-    &Avx512SquaredDistance,
     &Avx512RemapSparseView,
     &Avx2SquaredL2ToLanes,
 };

@@ -27,10 +27,6 @@ constexpr size_t kDistanceLanes = 8;
 #if defined(ZOMBIE_SIMD_HAVE_AVX2)
 double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                            const uint32_t* bi, const double* bv, size_t nb);
-void Avx2AddScaledTo(const uint32_t* indices, const double* values, size_t n,
-                     double scale, double* out);
-double Avx2SquaredDistance(const uint32_t* ai, const double* av, size_t na,
-                           const uint32_t* bi, const double* bv, size_t nb);
 size_t Avx2RemapSparseView(const uint32_t* indices, const double* values,
                            size_t n, const uint32_t* remap, size_t remap_size,
                            uint32_t* out_indices, double* out_values);
@@ -41,10 +37,6 @@ void Avx2SquaredL2ToLanes(const double* point, const double* lanes,
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX512)
 double Avx512DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
-                             const uint32_t* bi, const double* bv, size_t nb);
-void Avx512AddScaledTo(const uint32_t* indices, const double* values,
-                       size_t n, double scale, double* out);
-double Avx512SquaredDistance(const uint32_t* ai, const double* av, size_t na,
                              const uint32_t* bi, const double* bv, size_t nb);
 size_t Avx512RemapSparseView(const uint32_t* indices, const double* values,
                              size_t n, const uint32_t* remap,

@@ -8,8 +8,9 @@
 #include "ml/simd/kernel_entries.h"  // kPrunedFeature
 #include "ml/simd/simd_level.h"
 
-// Runtime ISA dispatch for the hot ML and index kernels: four sparse ones
-// and one dense distance kernel. The contract every table entry obeys:
+// Runtime ISA dispatch for the hot ML and index kernels: two sparse ones
+// (the sparse·sparse dot and pruning's remap compaction) and one dense
+// distance kernel. The contract every table entry obeys:
 // bit-identical results to the scalar reference in
 // sparse_kernels_scalar.h — same FP additions, same operands, same order.
 // SIMD implementations may only vectorize *index* work (scanning mismatch
@@ -28,11 +29,6 @@ namespace zombie {
 namespace simd {
 
 using DotSparseSparseFn = double (*)(const uint32_t* ai, const double* av,
-                                     size_t na, const uint32_t* bi,
-                                     const double* bv, size_t nb);
-using AddScaledToFn = void (*)(const uint32_t* indices, const double* values,
-                               size_t n, double scale, double* out);
-using SquaredDistanceFn = double (*)(const uint32_t* ai, const double* av,
                                      size_t na, const uint32_t* bi,
                                      const double* bv, size_t nb);
 /// Compacts a sorted sparse vector through a monotone old-id→dense-id remap
@@ -65,13 +61,10 @@ using SquaredL2ToLanesFn = void (*)(const double* point, const double* lanes,
 /// One dispatch table per ISA level. Preconditions (enforced by the
 /// sparse_vector.h wrappers, which keep the cutoff/resize/empty logic):
 ///   dot_sparse_sparse: na > 0 && nb > 0
-///   add_scaled_to:     `out` spans [0, indices[n-1]]
-///   squared_distance:  none (empty sides flow through the tails)
+///   remap_sparse_view: out buffers hold n entries
 ///   squared_l2_to_lanes: none (called directly by the index)
 struct SparseKernels {
   DotSparseSparseFn dot_sparse_sparse;
-  AddScaledToFn add_scaled_to;
-  SquaredDistanceFn squared_distance;
   RemapSparseViewFn remap_sparse_view;
   SquaredL2ToLanesFn squared_l2_to_lanes;
 };

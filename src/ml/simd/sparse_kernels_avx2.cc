@@ -59,23 +59,6 @@ inline size_t AdvanceTo(const uint32_t* idx, size_t i, size_t n,
   return i;
 }
 
-// s += v[k]^2 for k in [i, end), in order. Squares are vectorized (one
-// multiply per element either way); the adds stay serial and ordered.
-inline double AccumulateSquares(const double* v, size_t i, size_t end,
-                                double s) {
-  alignas(32) double sq[4];
-  for (; i + 4 <= end; i += 4) {
-    const __m256d lanes = _mm256_loadu_pd(v + i);
-    _mm256_store_pd(sq, _mm256_mul_pd(lanes, lanes));
-    s += sq[0];
-    s += sq[1];
-    s += sq[2];
-    s += sq[3];
-  }
-  for (; i < end; ++i) s += v[i] * v[i];
-  return s;
-}
-
 }  // namespace
 
 double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
@@ -97,59 +80,6 @@ double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
       if (++i == na || ++j == nb) return sum;
     }
   }
-}
-
-void Avx2AddScaledTo(const uint32_t* indices, const double* values, size_t n,
-                     double scale, double* out) {
-  // Indices are strictly increasing, so every write hits a distinct slot:
-  // the read-modify-writes are independent and each slot sees exactly the
-  // scalar loop's single `+= scale * value` add. Only the multiply is
-  // vectorized; scatter/gather forms lose on current cores and would need
-  // an INT32_MAX guard besides.
-  const __m256d vscale = _mm256_set1_pd(scale);
-  alignas(32) double prod[4];
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_store_pd(prod,
-                    _mm256_mul_pd(vscale, _mm256_loadu_pd(values + i)));
-    out[indices[i]] += prod[0];
-    out[indices[i + 1]] += prod[1];
-    out[indices[i + 2]] += prod[2];
-    out[indices[i + 3]] += prod[3];
-  }
-  for (; i < n; ++i) out[indices[i]] += scale * values[i];
-}
-
-double Avx2SquaredDistance(const uint32_t* ai, const double* av, size_t na,
-                           const uint32_t* bi, const double* bv, size_t nb) {
-  // Three-way merge with the same accumulation order as scalar. Unlike Dot,
-  // every element touches the accumulator, so mismatch runs cannot be
-  // skipped — but their squares can be computed 4 wide between the ordered
-  // adds, and AdvanceTo finds each run's end 8 indices per compare.
-  double s = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < na && j < nb) {
-    const uint32_t a = ai[i];
-    const uint32_t b = bi[j];
-    if (a == b) {
-      const double d = av[i] - bv[j];
-      s += d * d;
-      ++i;
-      ++j;
-    } else if (a < b) {
-      const size_t end = AdvanceTo(ai, i, na, b);
-      s = AccumulateSquares(av, i, end, s);
-      i = end;
-    } else {
-      const size_t end = AdvanceTo(bi, j, nb, a);
-      s = AccumulateSquares(bv, j, end, s);
-      j = end;
-    }
-  }
-  s = AccumulateSquares(av, i, na, s);
-  s = AccumulateSquares(bv, j, nb, s);
-  return s;
 }
 
 namespace {

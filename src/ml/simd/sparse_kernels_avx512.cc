@@ -42,19 +42,6 @@ inline size_t AdvanceTo(const uint32_t* idx, size_t i, size_t n,
   return i;
 }
 
-// s += v[k]^2 for k in [i, end), in order: 8-wide squares, serial adds.
-inline double AccumulateSquares(const double* v, size_t i, size_t end,
-                                double s) {
-  alignas(64) double sq[8];
-  for (; i + 8 <= end; i += 8) {
-    const __m512d lanes = _mm512_loadu_pd(v + i);
-    _mm512_store_pd(sq, _mm512_mul_pd(lanes, lanes));
-    for (int k = 0; k < 8; ++k) s += sq[k];
-  }
-  for (; i < end; ++i) s += v[i] * v[i];
-  return s;
-}
-
 }  // namespace
 
 double Avx512DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
@@ -73,51 +60,6 @@ double Avx512DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
       if (++i == na || ++j == nb) return sum;
     }
   }
-}
-
-void Avx512AddScaledTo(const uint32_t* indices, const double* values,
-                       size_t n, double scale, double* out) {
-  // See the AVX2 TU: distinct slots, vectorized multiply, serial RMW.
-  const __m512d vscale = _mm512_set1_pd(scale);
-  alignas(64) double prod[8];
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_store_pd(prod,
-                    _mm512_mul_pd(vscale, _mm512_loadu_pd(values + i)));
-    for (int k = 0; k < 8; ++k) {
-      out[indices[i + static_cast<size_t>(k)]] += prod[k];
-    }
-  }
-  for (; i < n; ++i) out[indices[i]] += scale * values[i];
-}
-
-double Avx512SquaredDistance(const uint32_t* ai, const double* av, size_t na,
-                             const uint32_t* bi, const double* bv,
-                             size_t nb) {
-  double s = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < na && j < nb) {
-    const uint32_t a = ai[i];
-    const uint32_t b = bi[j];
-    if (a == b) {
-      const double d = av[i] - bv[j];
-      s += d * d;
-      ++i;
-      ++j;
-    } else if (a < b) {
-      const size_t end = AdvanceTo(ai, i, na, b);
-      s = AccumulateSquares(av, i, end, s);
-      i = end;
-    } else {
-      const size_t end = AdvanceTo(bi, j, nb, a);
-      s = AccumulateSquares(bv, j, end, s);
-      j = end;
-    }
-  }
-  s = AccumulateSquares(av, i, na, s);
-  s = AccumulateSquares(bv, j, nb, s);
-  return s;
 }
 
 size_t Avx512RemapSparseView(const uint32_t* indices, const double* values,

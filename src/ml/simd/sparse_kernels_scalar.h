@@ -70,45 +70,6 @@ inline double ScalarDotSparseSparse(const uint32_t* ai, const double* av,
   }
 }
 
-/// out[indices[i]] += scale * values[i]. Caller has grown `out` to cover
-/// dimension() already. Indices are strictly increasing, so every write
-/// lands in a distinct slot.
-inline void ScalarAddScaledTo(const uint32_t* indices, const double* values,
-                              size_t n, double scale, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[indices[i]] += scale * values[i];
-  }
-}
-
-/// Three-way merge squared distance; handles na == 0 / nb == 0 via the
-/// tail loops.
-inline double ScalarSquaredDistance(const uint32_t* ai, const double* av,
-                                    size_t na, const uint32_t* bi,
-                                    const double* bv, size_t nb) {
-  double s = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < na && j < nb) {
-    const uint32_t a = ai[i];
-    const uint32_t b = bi[j];
-    if (a == b) {
-      const double d = av[i] - bv[j];
-      s += d * d;
-      ++i;
-      ++j;
-    } else if (a < b) {
-      s += av[i] * av[i];
-      ++i;
-    } else {
-      s += bv[j] * bv[j];
-      ++j;
-    }
-  }
-  for (; i < na; ++i) s += av[i] * av[i];
-  for (; j < nb; ++j) s += bv[j] * bv[j];
-  return s;
-}
-
 /// Reference remap compaction (contract in sparse_kernels.h next to
 /// RemapSparseViewFn). No FP arithmetic — the bit-identity obligation on the
 /// ISA variants is to emit exactly this kept sequence. The in-place case is

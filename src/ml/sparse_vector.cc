@@ -9,7 +9,7 @@
 
 namespace zombie {
 
-// The hot kernels (Dot, AddScaledTo, SquaredDistance, norms) live inline in
+// The hot kernels (Dot, norms) live inline in
 // sparse_vector.h — see the kernel note there. This TU keeps the cold
 // paths: lookup, construction, formatting.
 

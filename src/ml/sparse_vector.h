@@ -41,7 +41,7 @@ class SparseVectorView {
 
   /// Largest index + 1, or 0 when empty. Returns size_t: an entry at index
   /// UINT32_MAX has dimension 2^32, which would wrap to 0 in uint32_t and
-  /// make AddScaledTo skip its resize and write out of bounds.
+  /// make a caller that sizes a dense buffer from it write out of bounds.
   size_t dimension() const {
     return size_ == 0 ? 0 : static_cast<size_t>(indices_[size_ - 1]) + 1;
   }
@@ -49,7 +49,7 @@ class SparseVectorView {
   /// Value at a feature index (0.0 if absent); binary search.
   double Get(uint32_t index) const;
 
-  // The four hot kernels below are defined inline at the bottom of this
+  // The hot kernels below are defined inline at the bottom of this
   // header. Raw-pointer kernels on a view are inlinable at every call site
   // — unlike the vector-member originals, which always cost an opaque
   // cross-TU call — and inlining is worth more than any in-kernel trick on
@@ -63,14 +63,8 @@ class SparseVectorView {
   /// Dot product with another sparse vector (run-skipping merge join).
   inline double Dot(SparseVectorView other) const;
 
-  /// dense[i] += scale * this[i]; grows `dense` as needed.
-  inline void AddScaledTo(double scale, std::vector<double>* dense) const;
-
   inline double L2Norm() const;
   inline double L1Norm() const;
-
-  /// Squared Euclidean distance to another sparse vector.
-  inline double SquaredDistance(SparseVectorView other) const;
 
   /// Cosine similarity in [-1, 1]; 0 if either vector is empty/zero.
   double CosineSimilarity(SparseVectorView other) const;
@@ -142,9 +136,6 @@ class SparseVector {
     return view().Dot(dense);
   }
   double Dot(SparseVectorView other) const { return view().Dot(other); }
-  void AddScaledTo(double scale, std::vector<double>* dense) const {
-    view().AddScaledTo(scale, dense);
-  }
 
   /// Multiplies all values in place.
   void Scale(double factor);
@@ -158,9 +149,6 @@ class SparseVector {
 
   double L2Norm() const { return view().L2Norm(); }
   double L1Norm() const { return view().L1Norm(); }
-  double SquaredDistance(SparseVectorView other) const {
-    return view().SquaredDistance(other);
-  }
   double CosineSimilarity(SparseVectorView other) const {
     return view().CosineSimilarity(other);
   }
@@ -222,20 +210,6 @@ inline double SparseVectorView::Dot(SparseVectorView other) const {
                                      other.values_, other.size_);
 }
 
-inline void SparseVectorView::AddScaledTo(double scale,
-                                          std::vector<double>* dense) const {
-  if (size_ == 0) return;
-  if (dense->size() < dimension()) dense->resize(dimension(), 0.0);
-#if defined(ZOMBIE_SIMD_ENABLED)
-  if (size_ >= simd::kSimdMinEntries) {
-    simd::ActiveKernels().add_scaled_to(indices_, values_, size_, scale,
-                                        dense->data());
-    return;
-  }
-#endif
-  simd::ScalarAddScaledTo(indices_, values_, size_, scale, dense->data());
-}
-
 inline double SparseVectorView::L2Norm() const {
   double s = 0.0;
   for (size_t i = 0; i < size_; ++i) s += values_[i] * values_[i];
@@ -246,21 +220,6 @@ inline double SparseVectorView::L1Norm() const {
   double s = 0.0;
   for (size_t i = 0; i < size_; ++i) s += std::abs(values_[i]);
   return s;
-}
-
-inline double SparseVectorView::SquaredDistance(SparseVectorView other) const {
-  // Merge with identical accumulation order to the classic three-way merge;
-  // see ScalarSquaredDistance for the loop-shape rationale. (Unlike Dot,
-  // every element accumulates, so there is no run to skip; SIMD levels can
-  // still vectorize the independent squares between the ordered adds.)
-#if defined(ZOMBIE_SIMD_ENABLED)
-  if (size_ + other.size_ >= 2 * simd::kSimdMinEntries) {
-    return simd::ActiveKernels().squared_distance(
-        indices_, values_, size_, other.indices_, other.values_, other.size_);
-  }
-#endif
-  return simd::ScalarSquaredDistance(indices_, values_, size_, other.indices_,
-                                     other.values_, other.size_);
 }
 
 }  // namespace zombie

@@ -5,8 +5,9 @@
 // same way in every mode passes them all. This test hard-codes digests of
 // RunResult::Fingerprint() and of the DecisionLog JSONL for a small fixed
 // matrix — naive Bayes x {label, improvement} x {prune off, conservative}
-// x {offline, streaming} on a 400-document WebCat corpus — so such a change
-// fails here instead.
+// x {offline, streaming}, plus one tuned-threshold naive-Bayes run and one
+// run per per-row learner (logreg, adagrad, perceptron, svm), on a
+// 400-document WebCat corpus — so such a change fails here instead.
 //
 // Updating the pins: a change that alters engine behaviour on purpose
 // prints the new digests in the failure message (`EngineGoldenTest.Matrix`
@@ -32,9 +33,13 @@
 #include "data/corpus_source.h"
 #include "gtest/gtest.h"
 #include "index/incremental_grouper.h"
+#include "ml/adagrad_lr.h"
 #include "ml/dataset.h"
 #include "ml/feature_pruner.h"
+#include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
+#include "ml/pegasos_svm.h"
+#include "ml/perceptron.h"
 #include "obs/obs.h"
 #include "util/string_util.h"
 
@@ -57,7 +62,7 @@ uint64_t Fnv1a(const std::string& s) {
   return h;
 }
 
-/// Forwards to naive Bayes and counts whole-dataset scoring passes by the
+/// Forwards to a learner and counts whole-dataset scoring passes by the
 /// dataset's size: the probe (kProbeSize rows) and the holdout
 /// (kHoldoutSize rows) are the only datasets the engine scores.
 struct ScoreCounts {
@@ -67,22 +72,19 @@ struct ScoreCounts {
 
 class CountingLearner final : public Learner {
  public:
-  explicit CountingLearner(ScoreCounts* counts)
-      : inner_(std::make_unique<NaiveBayesLearner>()), counts_(counts) {}
+  CountingLearner(std::unique_ptr<Learner> inner, ScoreCounts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
 
   void Update(SparseVectorView x, int32_t y) override { inner_->Update(x, y); }
   double Score(SparseVectorView x) const override { return inner_->Score(x); }
-  void ScoreBatch(const Dataset& data, size_t begin, size_t end,
-                  double* out) const override {
-    if (begin == 0 && end == data.size()) {
-      if (data.size() == kProbeSize) ++counts_->probe_evals;
-      if (data.size() == kHoldoutSize) ++counts_->holdout_evals;
-    }
-    inner_->ScoreBatch(data, begin, end, out);
+  void ScoreBatch(const Dataset& data, double* out) const override {
+    if (data.size() == kProbeSize) ++counts_->probe_evals;
+    if (data.size() == kHoldoutSize) ++counts_->holdout_evals;
+    inner_->ScoreBatch(data, out);
   }
   void Reset() override { inner_->Reset(); }
   std::unique_ptr<Learner> Clone() const override {
-    return std::make_unique<CountingLearner>(counts_);
+    return std::make_unique<CountingLearner>(inner_->Clone(), counts_);
   }
   std::string name() const override { return inner_->name(); }
   size_t num_updates() const override { return inner_->num_updates(); }
@@ -99,8 +101,20 @@ class CountingLearner final : public Learner {
   ScoreCounts* counts_;
 };
 
+std::unique_ptr<Learner> MakeLearner(const std::string& name) {
+  if (name == "logreg") return std::make_unique<LogisticRegressionLearner>();
+  if (name == "adagrad") return std::make_unique<AdaGradLogisticLearner>();
+  if (name == "perceptron") {
+    return std::make_unique<AveragedPerceptronLearner>();
+  }
+  if (name == "svm") return std::make_unique<PegasosSvmLearner>();
+  return std::make_unique<NaiveBayesLearner>();
+}
+
 struct GoldenCase {
   const char* name;
+  const char* learner;
+  bool tune_threshold;
   bool improvement;
   bool prune;
   bool streaming;
@@ -108,26 +122,39 @@ struct GoldenCase {
   uint64_t decisions_digest;
 };
 
-// Recorded on the engine that scored every row with Score() and the probe
-// twice per pull; batched scoring and the probe carry-over left them as
-// they were.
+// The eight naive-Bayes rows were recorded on the engine that scored every
+// row with Score() and the probe twice per pull; batched scoring and the
+// probe carry-over left them as they were. The tuned-threshold and per-row
+// learner rows were recorded while the holdout could still be scored in
+// sharded ScoreBatch calls on a thread pool; its removal left them as they
+// were.
 constexpr GoldenCase kGolden[] = {
-    {"label/off/offline", false, false, false,
+    {"label/off/offline", "nb", false, false, false, false,
      0x4fad7860620f929cull, 0xa8bffe6576303111ull},
-    {"label/off/stream", false, false, true,
+    {"label/off/stream", "nb", false, false, false, true,
      0x7ba604edcb5211feull, 0xc11e5bfda2cf6938ull},
-    {"label/conservative/offline", false, true, false,
+    {"label/conservative/offline", "nb", false, false, true, false,
      0x34a99913f049475cull, 0xd8fa095b502c37f6ull},
-    {"label/conservative/stream", false, true, true,
+    {"label/conservative/stream", "nb", false, false, true, true,
      0x3744e92c974ffaaaull, 0x1edc4282895275d0ull},
-    {"improvement/off/offline", true, false, false,
+    {"improvement/off/offline", "nb", false, true, false, false,
      0xb523a43e507da016ull, 0x877690230a7a44a9ull},
-    {"improvement/off/stream", true, false, true,
+    {"improvement/off/stream", "nb", false, true, false, true,
      0x359a62ee3f4279d3ull, 0xd37dc145495d3383ull},
-    {"improvement/conservative/offline", true, true, false,
+    {"improvement/conservative/offline", "nb", false, true, true, false,
      0xce3783663922ae46ull, 0x3cdc80e6c4f7e187ull},
-    {"improvement/conservative/stream", true, true, true,
+    {"improvement/conservative/stream", "nb", false, true, true, true,
      0x5ca2c23a95fd84c1ull, 0xfbb55eb01ec25d75ull},
+    {"tuned/label/off/offline", "nb", true, false, false, false,
+     0x176ad0190f4fb2b2ull, 0xc9b3f79bfcc03c9aull},
+    {"logreg/label/off/offline", "logreg", false, false, false, false,
+     0xabc79b43455679ecull, 0x67b0c3c53d9d3a11ull},
+    {"adagrad/label/off/offline", "adagrad", false, false, false, false,
+     0x9a6ce6912820a650ull, 0x12439e34246f0fb5ull},
+    {"perceptron/label/off/offline", "perceptron", false, false, false, false,
+     0x710a33f948255fd3ull, 0x473cf14e1b5c2fbdull},
+    {"svm/label/off/offline", "svm", false, false, false, false,
+     0x285dcc82f7a4bd16ull, 0x41a3bc35fb657c15ull},
 };
 
 struct Outcome {
@@ -163,6 +190,8 @@ class EngineGoldenTest : public ::testing::Test {
     opts.eval_every = 10;
     opts.stop.max_items = 220;
     opts.stop.min_items = 120;
+    opts.tune_threshold = c.tune_threshold;
+    if (c.prune) opts.pruning = ConservativePruning();
     ObsContext obs;
     opts.obs = &obs;
 
@@ -170,14 +199,12 @@ class EngineGoldenTest : public ::testing::Test {
     EpsilonGreedyPolicy policy;
     LabelReward label;
     ImprovementReward improvement;
-    CountingLearner learner(&out.counts);
-    const FeaturePrunerOptions pruning = ConservativePruning();
+    CountingLearner learner(MakeLearner(c.learner), &out.counts);
     ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
     const RewardFunction& reward =
         c.improvement ? static_cast<const RewardFunction&>(improvement)
                       : label;
     RunSpec spec(grouping, policy, learner, reward);
-    if (c.prune) spec.pruning_override = &pruning;
     if (c.streaming) {
       spec.stream = &source;
       spec.incremental_grouper = &igrouper;
@@ -203,9 +230,10 @@ TEST_F(EngineGoldenTest, Matrix) {
     EXPECT_EQ(out.fingerprint_digest, c.fingerprint_digest);
     EXPECT_EQ(out.decisions_digest, c.decisions_digest);
     table += StrFormat(
-        "    {\"%s\", %s, %s, %s,\n     0x%016" PRIx64 "ull, 0x%016" PRIx64
-        "ull},\n",
-        c.name, c.improvement ? "true" : "false", c.prune ? "true" : "false",
+        "    {\"%s\", \"%s\", %s, %s, %s, %s,\n     0x%016" PRIx64
+        "ull, 0x%016" PRIx64 "ull},\n",
+        c.name, c.learner, c.tune_threshold ? "true" : "false",
+        c.improvement ? "true" : "false", c.prune ? "true" : "false",
         c.streaming ? "true" : "false", out.fingerprint_digest,
         out.decisions_digest);
   }

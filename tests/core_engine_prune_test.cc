@@ -3,8 +3,8 @@
 //    fingerprint and DecisionLog JSONL byte-identical to the no-pruner
 //    engine, no prune records, no prune metrics;
 //  - pruning enabled derives the mask from virtual-time-visible state only,
-//    so the run is byte-identical across cache on/off and holdout-eval
-//    thread counts (wall-clock-only knobs);
+//    so the run is byte-identical across cache on/off (a wall-clock-only
+//    knob);
 //  - the freeze lands exactly once, at a holdout-eval boundary at or after
 //    freeze_after_items, and is recorded consistently in the DecisionLog,
 //    the prune.* metrics, and the engine's actual dimension compaction;
@@ -63,9 +63,8 @@ class EnginePruneTest : public ::testing::Test {
     uint64_t pruned_features = 0;
   };
 
-  Outcome RunWith(const FeaturePrunerOptions* pruning_override,
-                  const Learner& learner, bool use_cache = true,
-                  size_t eval_threads = 1) {
+  Outcome RunWith(const FeaturePrunerOptions& pruning,
+                  const Learner& learner, bool use_cache = true) {
     // Fresh cache per run: every configuration starts cold, so only the
     // pruning itself differs between runs.
     FeatureCache cache;
@@ -75,16 +74,14 @@ class EnginePruneTest : public ::testing::Test {
     opts.eval_every = 10;
     opts.stop.max_items = 200;
     opts.feature_cache = use_cache ? &cache : nullptr;
-    opts.holdout_eval_threads = eval_threads;
+    opts.pruning = pruning;
     ObsContext obs;
     opts.obs = &obs;
 
     EpsilonGreedyPolicy policy;
     LabelReward reward;
     ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
-    RunSpec spec(grouping_, policy, learner, reward);
-    spec.pruning_override = pruning_override;
-    RunResult r = engine.Run(spec);
+    RunResult r = engine.Run(RunSpec(grouping_, policy, learner, reward));
 
     Outcome out;
     out.fingerprint = Fingerprint(r);
@@ -110,29 +107,25 @@ class EnginePruneTest : public ::testing::Test {
 
 TEST_F(EnginePruneTest, DisabledPruningIsByteIdenticalNoOp) {
   NaiveBayesLearner nb;
-  Outcome off = RunWith(nullptr, nb);
+  Outcome off = RunWith(FeaturePrunerOptions{}, nb);
   EXPECT_EQ(off.freezes, 0u);
   EXPECT_EQ(off.decisions_jsonl.find("\"kind\": \"prune\""),
             std::string::npos);
 
-  // An explicitly disabled preset and default-constructed options must both
-  // be perfect no-ops, not merely near misses.
+  // An explicitly disabled preset must be a perfect no-op, not merely a
+  // near miss.
   FeaturePrunerOptions disabled = ConservativePruning();
   disabled.enabled = false;
-  FeaturePrunerOptions defaults;
-  for (const FeaturePrunerOptions* o : {&disabled, &defaults}) {
-    Outcome run = RunWith(o, nb);
-    EXPECT_EQ(run.fingerprint, off.fingerprint);
-    EXPECT_EQ(run.decisions_jsonl, off.decisions_jsonl);
-    EXPECT_EQ(run.freezes, 0u);
-  }
+  Outcome run = RunWith(disabled, nb);
+  EXPECT_EQ(run.fingerprint, off.fingerprint);
+  EXPECT_EQ(run.decisions_jsonl, off.decisions_jsonl);
+  EXPECT_EQ(run.freezes, 0u);
 }
 
 TEST_F(EnginePruneTest, PrunedRunByteIdenticalAcrossWallClockKnobs) {
   NaiveBayesLearner nb;
   const FeaturePrunerOptions conservative = ConservativePruning();
-  Outcome base = RunWith(&conservative, nb, /*use_cache=*/true,
-                         /*eval_threads=*/1);
+  Outcome base = RunWith(conservative, nb, /*use_cache=*/true);
   // Non-vacuity: the mask really froze and really pruned.
   ASSERT_EQ(base.freezes, 1u);
   EXPECT_GT(base.pruned_features, 0u);
@@ -140,49 +133,17 @@ TEST_F(EnginePruneTest, PrunedRunByteIdenticalAcrossWallClockKnobs) {
   EXPECT_NE(base.decisions_jsonl.find("\"kind\": \"prune\""),
             std::string::npos);
 
-  struct Knob {
-    const char* name;
-    bool use_cache;
-    size_t eval_threads;
-  };
-  for (const Knob& k : {Knob{"no cache", false, 1}, Knob{"4 eval threads",
-                                                         true, 4},
-                        Knob{"no cache + threads", false, 4}}) {
-    Outcome run = RunWith(&conservative, nb, k.use_cache, k.eval_threads);
-    EXPECT_EQ(run.fingerprint, base.fingerprint) << k.name;
-    // Decision records carry a "cache" outcome field that legitimately
-    // differs with the cache off (same as prune-off runs), so byte-equality
-    // of the JSONL is only asserted between cache-mode-matched runs.
-    if (k.use_cache) {
-      EXPECT_EQ(run.decisions_jsonl, base.decisions_jsonl) << k.name;
-    }
-  }
-
-  // The engine-level default (EngineOptions::pruning) and the RunSpec
-  // override are the same code path.
-  {
-    FeatureCache cache;
-    EngineOptions opts;
-    opts.seed = 3;
-    opts.holdout_size = 150;
-    opts.eval_every = 10;
-    opts.stop.max_items = 200;
-    opts.feature_cache = &cache;
-    opts.pruning = conservative;
-    ObsContext obs;
-    opts.obs = &obs;
-    EpsilonGreedyPolicy policy;
-    LabelReward reward;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
-    RunSpec spec(grouping_, policy, nb, reward);
-    EXPECT_EQ(Fingerprint(engine.Run(spec)), base.fingerprint);
-  }
+  // Decision records carry a "cache" outcome field that legitimately
+  // differs with the cache off (same as prune-off runs), so only the
+  // fingerprint is compared.
+  Outcome no_cache = RunWith(conservative, nb, /*use_cache=*/false);
+  EXPECT_EQ(no_cache.fingerprint, base.fingerprint);
 }
 
 TEST_F(EnginePruneTest, FreezeLandsAtHoldoutBoundaryAndIsRecorded) {
   NaiveBayesLearner nb;
   const FeaturePrunerOptions conservative = ConservativePruning();
-  Outcome run = RunWith(&conservative, nb);
+  Outcome run = RunWith(conservative, nb);
   ASSERT_EQ(run.freezes, 1u);
   // eval_every=10 and freeze_after_items=100: the first boundary at or
   // after the warmup is exactly item 100.
@@ -210,8 +171,8 @@ TEST_F(EnginePruneTest, AggressivePrunesMoreThanConservative) {
   NaiveBayesLearner nb;
   const FeaturePrunerOptions conservative = ConservativePruning();
   const FeaturePrunerOptions aggressive = AggressivePruning();
-  Outcome cons = RunWith(&conservative, nb);
-  Outcome aggr = RunWith(&aggressive, nb);
+  Outcome cons = RunWith(conservative, nb);
+  Outcome aggr = RunWith(aggressive, nb);
   ASSERT_EQ(cons.freezes, 1u);
   ASSERT_EQ(aggr.freezes, 1u);
   EXPECT_LT(aggr.kept_features, cons.kept_features);
@@ -221,9 +182,9 @@ TEST_F(EnginePruneTest, AggressivePrunesMoreThanConservative) {
 
 TEST_F(EnginePruneTest, LearnerWithoutWeightsDisablesPruningAsNoOp) {
   KnnLearner knn(3);
-  Outcome off = RunWith(nullptr, knn);
+  Outcome off = RunWith(FeaturePrunerOptions{}, knn);
   const FeaturePrunerOptions conservative = ConservativePruning();
-  Outcome on = RunWith(&conservative, knn);
+  Outcome on = RunWith(conservative, knn);
   // kNN exports no per-feature weights: the pruner disables itself and the
   // run must be byte-identical to never having constructed it.
   EXPECT_EQ(on.freezes, 0u);

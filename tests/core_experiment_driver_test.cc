@@ -222,7 +222,7 @@ TEST(ExperimentDriverTest, ScanBaselinesMatchSerialBaselines) {
   }
 }
 
-// --- Prunings axis (per-arm RunSpec::pruning_override through the grid). --
+// --- Prunings axis (per-trial EngineOptions::pruning through the grid). ---
 
 TEST(ExperimentGridTest, PruningsAxisMultipliesSizeAndLabels) {
   Fixture f;

@@ -15,7 +15,6 @@
 #include "ml/pegasos_svm.h"
 #include "ml/perceptron.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace zombie {
 namespace {
@@ -234,11 +233,9 @@ Dataset MixedData(size_t n, uint32_t dim, Rng* rng) {
 }
 
 // Asserts every route to a score over `data` matches per-row Score() bit
-// for bit: one whole-dataset ScoreBatch, an interior sub-range (output
-// offset), and ScoreAll serial and on a 4-thread pool (sharded ScoreBatch
-// calls running concurrently — the TSan leg's data-race check).
+// for bit: one whole-dataset ScoreBatch and ScoreAll.
 void ExpectBatchMatchesPerRow(const Learner& learner, const Dataset& data,
-                              ThreadPool* pool, const char* stage) {
+                              const char* stage) {
   SCOPED_TRACE(learner.name() + " " + stage);
   const size_t n = data.size();
   std::vector<double> want(n);
@@ -246,33 +243,20 @@ void ExpectBatchMatchesPerRow(const Learner& learner, const Dataset& data,
   const size_t bytes = n * sizeof(double);
 
   std::vector<double> batch(n);
-  learner.ScoreBatch(data, 0, n, batch.data());
+  learner.ScoreBatch(data, batch.data());
   EXPECT_EQ(std::memcmp(batch.data(), want.data(), bytes), 0);
 
-  const size_t lo = 37;
-  const size_t hi = n - 11;
-  std::vector<double> part(hi - lo);
-  learner.ScoreBatch(data, lo, hi, part.data());
-  EXPECT_EQ(std::memcmp(part.data(), want.data() + lo,
-                        part.size() * sizeof(double)),
-            0);
-
-  std::vector<double> serial;
-  std::vector<double> pooled;
+  std::vector<double> scores;
   std::vector<int32_t> labels;
-  ScoreAll(learner, data, nullptr, &serial, &labels);
-  ScoreAll(learner, data, pool, &pooled, &labels);
-  ASSERT_EQ(serial.size(), n);
-  ASSERT_EQ(pooled.size(), n);
-  EXPECT_EQ(std::memcmp(serial.data(), want.data(), bytes), 0);
-  EXPECT_EQ(std::memcmp(pooled.data(), want.data(), bytes), 0);
+  ScoreAll(learner, data, &scores, &labels);
+  ASSERT_EQ(scores.size(), n);
+  EXPECT_EQ(std::memcmp(scores.data(), want.data(), bytes), 0);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(labels[i], data.label(i));
 }
 
 TEST(ScoreBatchTest, BitIdenticalToPerRowScoreForEveryLearner) {
   std::vector<std::unique_ptr<Learner>> learners = AllLearners();
   learners.push_back(std::make_unique<MajorityClassLearner>());
-  ThreadPool pool(4);
   for (const auto& prototype : learners) {
     auto learner = prototype->Clone();
     Rng rng(49);
@@ -280,9 +264,9 @@ TEST(ScoreBatchTest, BitIdenticalToPerRowScoreForEveryLearner) {
     // past every per-feature table the model holds.
     Dataset train = MixedData(300, 600, &rng);
     Dataset test = MixedData(700, 900, &rng);
-    ExpectBatchMatchesPerRow(*learner, test, &pool, "untrained");
+    ExpectBatchMatchesPerRow(*learner, test, "untrained");
     TrainEpochs(learner.get(), train, 1, &rng);
-    ExpectBatchMatchesPerRow(*learner, test, &pool, "trained");
+    ExpectBatchMatchesPerRow(*learner, test, "trained");
 
     // Monotone remap keeping two ids in three below 600.
     std::vector<uint32_t> old_to_new(600, simd::kPrunedFeature);
@@ -302,7 +286,7 @@ TEST(ScoreBatchTest, BitIdenticalToPerRowScoreForEveryLearner) {
       }
       compacted.Add(V(std::move(dense)), e.y);
     }
-    ExpectBatchMatchesPerRow(*learner, compacted, &pool, "compacted");
+    ExpectBatchMatchesPerRow(*learner, compacted, "compacted");
   }
 }
 

@@ -76,46 +76,17 @@ std::vector<uint32_t> RandomIndices(size_t n, uint32_t lo, uint32_t hi,
   return out;
 }
 
-// Runs the three sparse merge/scatter kernels from `table` against the
-// scalar reference on one operand pair and asserts bit equality of every
-// result.
+// Runs dot_sparse_sparse from `table` against the scalar reference on one
+// operand pair and asserts bit equality of the result.
 void ExpectBitIdentical(const SparseKernels& table, const Row& a,
                         const Row& b, const std::string& label) {
   SCOPED_TRACE(label);
-  // dot_sparse_sparse requires non-empty operands (wrapper contract).
-  if (a.n() > 0 && b.n() > 0) {
-    const double got =
-        table.dot_sparse_sparse(a.ip(), a.vp(), a.n(), b.ip(), b.vp(), b.n());
-    const double want = simd::ScalarDotSparseSparse(a.ip(), a.vp(), a.n(),
-                                                    b.ip(), b.vp(), b.n());
-    EXPECT_EQ(Bits(got), Bits(want)) << "dot_sparse_sparse " << got << " vs "
-                                     << want;
-  }
-  {
-    const double got = table.squared_distance(a.ip(), a.vp(), a.n(), b.ip(),
-                                              b.vp(), b.n());
-    const double want = simd::ScalarSquaredDistance(a.ip(), a.vp(), a.n(),
-                                                    b.ip(), b.vp(), b.n());
-    EXPECT_EQ(Bits(got), Bits(want)) << "squared_distance " << got << " vs "
-                                     << want;
-  }
-  // add_scaled_to needs in-range indices; clamp to a dense buffer that
-  // covers the row (skip when the row's dimension is impractically large).
-  const uint32_t max_idx = a.n() == 0 ? 0 : a.idx.back();
-  if (a.n() > 0 && max_idx < (1u << 16)) {
-    Rng rng(777);
-    std::vector<double> dense(static_cast<size_t>(max_idx) + 1);
-    for (double& d : dense) d = rng.NextGaussian();
-    std::vector<double> out_got = dense;
-    std::vector<double> out_want = dense;
-    table.add_scaled_to(a.ip(), a.vp(), a.n(), -0.75, out_got.data());
-    simd::ScalarAddScaledTo(a.ip(), a.vp(), a.n(), -0.75, out_want.data());
-    ASSERT_EQ(out_got.size(), out_want.size());
-    for (size_t i = 0; i < out_got.size(); ++i) {
-      ASSERT_EQ(Bits(out_got[i]), Bits(out_want[i]))
-          << "add_scaled_to slot " << i;
-    }
-  }
+  const double got =
+      table.dot_sparse_sparse(a.ip(), a.vp(), a.n(), b.ip(), b.vp(), b.n());
+  const double want = simd::ScalarDotSparseSparse(a.ip(), a.vp(), a.n(),
+                                                  b.ip(), b.vp(), b.n());
+  EXPECT_EQ(Bits(got), Bits(want)) << "dot_sparse_sparse " << got << " vs "
+                                   << want;
 }
 
 // --- SimdLevel parse/probe/resolution ---------------------------------------
@@ -218,14 +189,13 @@ class SimdKernelsTest : public ::testing::Test {
   }
 };
 
-TEST_F(SimdKernelsTest, EmptyAndSingleEntry) {
+TEST_F(SimdKernelsTest, SingleEntry) {
+  // Empty operands never reach the table: the Dot wrapper returns 0 first.
   Rng rng(1);
-  const Row empty;
   const Row one = MakeRow({42}, &rng);
-  ForEachLevel(empty, empty, "empty/empty");
-  ForEachLevel(one, empty, "one/empty");
-  ForEachLevel(empty, one, "empty/one");
+  const Row other = MakeRow({43}, &rng);
   ForEachLevel(one, one, "one/one");
+  ForEachLevel(one, other, "one/other");
 }
 
 TEST_F(SimdKernelsTest, SingleRunDisjointRanges) {
@@ -247,7 +217,7 @@ TEST_F(SimdKernelsTest, DenseOverlapIdenticalIndexSets) {
   const Row a = MakeRow(shared, &rng);
   const Row b = MakeRow(shared, &rng);
   ForEachLevel(a, b, "identical index sets");
-  ForEachLevel(a, a, "self (distance must hit exact zero)");
+  ForEachLevel(a, a, "self");
 }
 
 TEST_F(SimdKernelsTest, InterleavedAlternatingIndices) {
@@ -544,11 +514,10 @@ TEST_F(SimdKernelsTest, SquaredL2ToLanesMatchesScalarSquaredL2) {
 // --- Dispatched wrappers ----------------------------------------------------
 
 TEST_F(SimdKernelsTest, WrapperMatchesScalarKernelsAtActiveLevel) {
-  // End-to-end through SparseVectorView::{Dot,AddScaledTo,SquaredDistance}
-  // at whatever level this process resolved (native, or forced via
-  // ZOMBIE_SIMD_LEVEL by the CI matrix): results must equal the scalar
-  // kernels bit-for-bit, dispatch hop, small-n short-circuit, cutoff and
-  // resize logic included.
+  // End-to-end through both SparseVectorView::Dot overloads at whatever
+  // level this process resolved (native, or forced via ZOMBIE_SIMD_LEVEL by
+  // the CI matrix): results must equal the scalar kernels bit-for-bit,
+  // dispatch hop, small-n short-circuit and cutoff logic included.
   Rng rng(7);
   for (size_t nnz : {1u, 8u, 15u, 16u, 64u, 300u}) {
     const Row a = MakeRow(RandomIndices(nnz, 0, 2047, &rng), &rng);
@@ -558,9 +527,6 @@ TEST_F(SimdKernelsTest, WrapperMatchesScalarKernelsAtActiveLevel) {
 
     EXPECT_EQ(Bits(va.Dot(vb)),
               Bits(simd::ScalarDotSparseSparse(a.ip(), a.vp(), a.n(), b.ip(),
-                                               b.vp(), b.n())));
-    EXPECT_EQ(Bits(va.SquaredDistance(vb)),
-              Bits(simd::ScalarSquaredDistance(a.ip(), a.vp(), a.n(), b.ip(),
                                                b.vp(), b.n())));
 
     std::vector<double> dense(1024);
@@ -573,20 +539,6 @@ TEST_F(SimdKernelsTest, WrapperMatchesScalarKernelsAtActiveLevel) {
     EXPECT_EQ(Bits(va.Dot(dense)),
               Bits(simd::ScalarDotSparseDense(a.ip(), a.vp(), limit,
                                               dense.data())));
-
-    std::vector<double> got(16, 1.0);
-    std::vector<double> want(16, 1.0);
-    va.AddScaledTo(0.5, &got);
-    if (a.n() > 0) {
-      want.resize(std::max<size_t>(want.size(),
-                                   static_cast<size_t>(a.idx.back()) + 1),
-                  0.0);
-      simd::ScalarAddScaledTo(a.ip(), a.vp(), a.n(), 0.5, want.data());
-    }
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "slot " << i;
-    }
   }
 }
 

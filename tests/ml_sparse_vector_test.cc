@@ -114,30 +114,12 @@ TEST(SparseVectorTest, DotSparseSparse) {
   EXPECT_DOUBLE_EQ(a.Dot(SparseVector()), 0.0);
 }
 
-TEST(SparseVectorTest, AddScaledToGrowsDense) {
-  SparseVector v = V({{2, 3.0}});
-  std::vector<double> dense = {1.0};
-  v.AddScaledTo(2.0, &dense);
-  ASSERT_EQ(dense.size(), 3u);
-  EXPECT_DOUBLE_EQ(dense[0], 1.0);
-  EXPECT_DOUBLE_EQ(dense[2], 6.0);
-}
-
 TEST(SparseVectorTest, ScaleAndNorms) {
   SparseVector v = V({{0, 3.0}, {1, 4.0}});
   EXPECT_DOUBLE_EQ(v.L2Norm(), 5.0);
   EXPECT_DOUBLE_EQ(v.L1Norm(), 7.0);
   v.Scale(2.0);
   EXPECT_DOUBLE_EQ(v.L2Norm(), 10.0);
-}
-
-TEST(SparseVectorTest, SquaredDistance) {
-  SparseVector a = V({{0, 1.0}, {2, 2.0}});
-  SparseVector b = V({{0, 1.0}, {1, 3.0}});
-  // diff: idx1 -3, idx2 +2 -> 9 + 4
-  EXPECT_DOUBLE_EQ(a.SquaredDistance(b), 13.0);
-  EXPECT_DOUBLE_EQ(a.SquaredDistance(a), 0.0);
-  EXPECT_DOUBLE_EQ(a.SquaredDistance(SparseVector()), 5.0);
 }
 
 TEST(SparseVectorTest, CosineSimilarity) {
@@ -150,8 +132,8 @@ TEST(SparseVectorTest, CosineSimilarity) {
 }
 
 // Regression: dimension() used to return uint32_t, so an entry at index
-// UINT32_MAX wrapped it to 0 — and AddScaledTo would then skip its resize
-// and write past the end of the dense vector.
+// UINT32_MAX wrapped it to 0 — and a caller sizing a dense vector from it
+// would then write past its end.
 TEST(SparseVectorTest, DimensionDoesNotWrapAtUint32Max) {
   SparseVector v;
   v.PushBack(std::numeric_limits<uint32_t>::max(), 1.0);
@@ -182,17 +164,10 @@ TEST_P(SparseVectorPropertyTest, DotConsistentWithDense) {
   SparseVector a = RandomVector(&rng, 100, 20);
   SparseVector b = RandomVector(&rng, 100, 20);
   std::vector<double> b_dense(100, 0.0);
-  b.AddScaledTo(1.0, &b_dense);
+  for (size_t i = 0; i < b.num_nonzero(); ++i) {
+    b_dense[b.index_at(i)] = b.value_at(i);
+  }
   EXPECT_NEAR(a.Dot(b), a.Dot(b_dense), 1e-9);
-}
-
-TEST_P(SparseVectorPropertyTest, DistanceExpandsAsNorms) {
-  Rng rng(GetParam() + 1000);
-  SparseVector a = RandomVector(&rng, 50, 10);
-  SparseVector b = RandomVector(&rng, 50, 10);
-  double expansion =
-      a.L2Norm() * a.L2Norm() + b.L2Norm() * b.L2Norm() - 2.0 * a.Dot(b);
-  EXPECT_NEAR(a.SquaredDistance(b), expansion, 1e-9);
 }
 
 TEST_P(SparseVectorPropertyTest, CosineBounded) {
@@ -246,11 +221,6 @@ TEST(SparseVectorViewTest, KernelsAgreeWithOwningVector) {
   // depend on that.
   EXPECT_EQ(a.view().Dot(b.view()), a.Dot(b));
   EXPECT_EQ(a.view().Dot(dense), a.Dot(dense));
-  EXPECT_EQ(a.view().SquaredDistance(b.view()), a.SquaredDistance(b));
-  std::vector<double> d1, d2;
-  a.view().AddScaledTo(0.25, &d1);
-  a.AddScaledTo(0.25, &d2);
-  EXPECT_EQ(d1, d2);
 }
 
 TEST(SparseVectorViewTest, FromViewRoundTrip) {

@@ -5,7 +5,7 @@
 //   zombie_cli run      --corpus=crawl.zmbc [--task=webcat --docs=...]
 //                       --grouper=kmeans --groups=32 --policy=egreedy
 //                       --reward=label --learner=nb [--baseline] [--csv=out.csv]
-//                       [--trials=N] [--threads=N] [--eval-threads=N]
+//                       [--trials=N] [--threads=N]
 //                       [--cache] [--prefetch-threads=N] [--prefetch-arms=N]
 //                       [--prune=off|conservative|aggressive]
 //                       [--stream=F] [--ingest-rate=R]
@@ -16,7 +16,6 @@
 //                       [--decisions-out=decisions.jsonl]
 //                       [--fingerprint-out=fp.txt]
 //   zombie_cli session  --task=webcat --docs=12000 [--warm] [--cache]
-//                       [--eval-threads=N]
 //                       [--prefetch-threads=N] [--prefetch-arms=N]
 //                       [--prune=off|conservative|aggressive]
 //                       [--store-path=feat.zfs]
@@ -52,8 +51,8 @@
 // documents per virtual second (default 100), --stream-order the arrival
 // permutation, --stream-seed the schedule's jitter seed. Streaming runs
 // are deterministic given these flags: fingerprints and decision logs are
-// byte-identical across --threads, --eval-threads, --cache/--store-path,
-// and forced SIMD levels. Requires --grouper=kmeans|metadata|token.
+// byte-identical across --threads, --cache/--store-path, and forced SIMD
+// levels. Requires --grouper=kmeans|metadata|token.
 //
 // --fingerprint-out (run only) writes each trial's canonical RunResult
 // fingerprint (see RunResult::Fingerprint); the simd-dispatch CI job
@@ -298,10 +297,6 @@ EngineOptions MakeEngineOptionsFromFlags(const Flags& flags) {
   opts.tune_threshold = flags.GetBool("tune_threshold");
   int64_t budget = flags.GetInt("max_items", -1);
   if (budget > 0) opts.stop.max_items = static_cast<size_t>(budget);
-  int64_t eval_threads = flags.GetInt("eval-threads", 1);
-  if (eval_threads > 1) {
-    opts.holdout_eval_threads = static_cast<size_t>(eval_threads);
-  }
   // Online feature pruning preset (ml/feature_pruner.h). Unknown values
   // are reported and ignored, matching the prefetch-flag idiom.
   std::string prune = flags.GetString("prune", "off");
