@@ -4,7 +4,12 @@
 // holdout boundaries through the incremental k-means grouper). Both arms
 // process the same documents end to end, so the wall ratio isolates what
 // ingestion itself costs: shard appends, assign-or-split, and mid-run arm
-// registration.
+// registration. IncrementalKMeansGrouper computes the index evolution once
+// per primed prototype and shares it with every clone, so all but the
+// first streaming run read an evolution an earlier run computed.
+// stream_shared_wall_ratio measures that saving on a split-heavy streaming
+// arm: its min wall over a prototype an earlier run extended, divided by
+// its min wall over a freshly primed prototype per repeat.
 //
 // Determinism ZCHECKs (the contract the feature rests on):
 //   - a drained stream (base == corpus, empty schedule) is byte-identical
@@ -13,6 +18,7 @@
 //     seed.
 
 #include <cstdio>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -81,13 +87,12 @@ struct MeasuredArm {
 
 constexpr int kWallReps = 3;
 
-MeasuredArm MeasureArm(const Task& task, const GroupingResult& grouping,
-                       uint64_t seed, FeatureCache* cache,
-                       const ScheduledCorpusSource* stream,
-                       const IncrementalGrouper* igrouper) {
+/// Runs `run` kWallReps times; the repeats must be byte-identical.
+MeasuredArm MeasureArm(uint64_t seed,
+                       const std::function<ArmOutcome()>& run) {
   MeasuredArm out;
   for (int rep = 0; rep < kWallReps; ++rep) {
-    ArmOutcome o = RunArm(task, grouping, seed, cache, stream, igrouper);
+    ArmOutcome o = run();
     const double wall = static_cast<double>(o.run.wall_micros);
     if (rep == 0) {
       out.wall_micros = wall;
@@ -138,18 +143,31 @@ void Run() {
       &task.corpus, base, BuildArrivalSchedule(task.corpus, base, sched));
   ScheduledCorpusSource drained(&task.corpus, task.corpus.size(), {});
 
+  // The split-heavy configuration of the sharing A/B: base groups start
+  // above the split threshold, as in perfbench's grid_drift (about 250
+  // members a group against 128). With the default threshold the smoke
+  // preset's stream opens about one arm per seed, too little ingestion
+  // work for sharing it to show.
+  IncrementalKMeansOptions split_opts = kopts;
+  split_opts.split_threshold = 16;
+  IncrementalKMeansGrouper split_grouper(split_opts);
+  GroupingResult split_grouping = split_grouper.GroupBase(task.corpus, base);
+
   FeatureCache cache;
 
   std::vector<RunResult> off_runs;
   std::vector<RunResult> on_runs;
   double wall_off = 0.0;
   double wall_on = 0.0;
+  double wall_shared = 0.0;
+  double wall_fresh = 0.0;
   uint64_t new_arms_total = 0;
   uint64_t windows_total = 0;
   uint64_t ingest_docs_total = 0;
   for (uint64_t seed : BenchSeeds()) {
-    MeasuredArm off = MeasureArm(task, offline_grouping, seed, &cache,
-                                 nullptr, nullptr);
+    MeasuredArm off = MeasureArm(seed, [&] {
+      return RunArm(task, offline_grouping, seed, &cache, nullptr, nullptr);
+    });
 
     // Drained-stream equivalence: the streaming machinery with nothing to
     // ingest must be a perfect no-op against the offline engine.
@@ -158,8 +176,9 @@ void Run() {
     ZCHECK(drained_run.run.Fingerprint() == off.outcome.run.Fingerprint())
         << "drained stream changed the run (seed " << seed << ")";
 
-    MeasuredArm on =
-        MeasureArm(task, stream_grouping, seed, &cache, &source, &igrouper);
+    MeasuredArm on = MeasureArm(seed, [&] {
+      return RunArm(task, stream_grouping, seed, &cache, &source, &igrouper);
+    });
 
     // Streaming determinism: byte-identical without the cache (a
     // wall-clock-only knob).
@@ -167,6 +186,26 @@ void Run() {
         RunArm(task, stream_grouping, seed, nullptr, &source, &igrouper);
     ZCHECK(on_nocache.run.Fingerprint() == on.outcome.run.Fingerprint())
         << "streaming run depends on the feature cache (seed " << seed << ")";
+
+    // Trajectory sharing: the split-heavy arm over one prototype, whose
+    // trajectory an untimed first run extends, against the same arm over a
+    // freshly primed prototype per repeat, which computes the index
+    // evolution itself.
+    RunArm(task, split_grouping, seed, &cache, &source, &split_grouper);
+    MeasuredArm shared = MeasureArm(seed, [&] {
+      return RunArm(task, split_grouping, seed, &cache, &source,
+                    &split_grouper);
+    });
+    MeasuredArm fresh = MeasureArm(seed, [&] {
+      IncrementalKMeansGrouper primed(split_opts);
+      primed.GroupBase(task.corpus, base);
+      return RunArm(task, split_grouping, seed, &cache, &source, &primed);
+    });
+    ZCHECK(fresh.outcome.run.Fingerprint() ==
+           shared.outcome.run.Fingerprint())
+        << "a shared trajectory changed the run (seed " << seed << ")";
+    wall_shared += shared.wall_micros;
+    wall_fresh += fresh.wall_micros;
 
     wall_off += off.wall_micros;
     wall_on += on.wall_micros;
@@ -184,6 +223,8 @@ void Run() {
   // happens to classify better must not trip a degradation gate.
   const double quality_delta = acc_off > acc_on ? acc_off - acc_on : 0.0;
   const double wall_ratio = wall_off > 0.0 ? wall_on / wall_off : 0.0;
+  const double shared_wall_ratio =
+      wall_fresh > 0.0 ? wall_shared / wall_fresh : 0.0;
   const double suffix_docs =
       static_cast<double>(seeds * (task.corpus.size() - base));
   const double coverage =
@@ -221,8 +262,11 @@ void Run() {
   }
   FinishTable(table, "stream");
   std::printf("gate:       ingest coverage %.3f (= 1 required: the schedule "
-              "must drain), quality delta %.4f, wall ratio %.2f\n",
-              coverage, quality_delta, wall_ratio);
+              "must drain), quality delta %.4f, wall ratio %.2f, shared "
+              "trajectory wall ratio %.3f (shared %.1f ms / fresh "
+              "prototype %.1f ms)\n",
+              coverage, quality_delta, wall_ratio, shared_wall_ratio,
+              wall_shared / 1e3, wall_fresh / 1e3);
 
   BenchReporter reporter("stream");
   reporter.AddRuns("stream_off", off_runs);
@@ -230,6 +274,7 @@ void Run() {
   reporter.AddMetric("stream_ingest_coverage", coverage);
   reporter.AddMetric("stream_quality_delta", quality_delta);
   reporter.AddMetric("stream_wall_ratio", wall_ratio);
+  reporter.AddMetric("stream_shared_wall_ratio", shared_wall_ratio);
   reporter.AddMetric("stream_new_arms_per_seed", mean_new_arms);
   reporter.Finish();
 }

@@ -32,7 +32,7 @@ ScheduledCorpusSource::ScheduledCorpusSource(
                    [](const DocumentArrival& a, const DocumentArrival& b) {
                      return a.at_virtual_micros < b.at_virtual_micros;
                    });
-  ZCHECK_OK(Validate());
+  ZCHECK_OK(ValidateArrivalSchedule(*corpus_, base_size_, arrivals_));
 }
 
 size_t ScheduledCorpusSource::VisibleCount(int64_t virtual_now_micros) const {
@@ -46,24 +46,30 @@ size_t ScheduledCorpusSource::VisibleCount(int64_t virtual_now_micros) const {
   return base_size_ + static_cast<size_t>(it - arrivals_.begin());
 }
 
-Status ScheduledCorpusSource::Validate() const {
-  if (arrivals_.size() != corpus_->size() - base_size_) {
+Status ValidateArrivalSchedule(const Corpus& corpus, size_t base_size,
+                               const std::vector<DocumentArrival>& arrivals) {
+  if (base_size > corpus.size()) {
+    return Status::InvalidArgument(
+        StrFormat("base of %zu documents exceeds the corpus of %zu",
+                  base_size, corpus.size()));
+  }
+  if (arrivals.size() != corpus.size() - base_size) {
     return Status::InvalidArgument(StrFormat(
         "schedule has %zu arrivals for a streamed suffix of %zu documents",
-        arrivals_.size(), corpus_->size() - base_size_));
+        arrivals.size(), corpus.size() - base_size));
   }
-  std::vector<uint8_t> seen(corpus_->size() - base_size_, 0);
-  for (const DocumentArrival& a : arrivals_) {
-    if (a.doc_index < base_size_ || a.doc_index >= corpus_->size()) {
+  std::vector<uint8_t> seen(corpus.size() - base_size, 0);
+  for (const DocumentArrival& a : arrivals) {
+    if (a.doc_index < base_size || a.doc_index >= corpus.size()) {
       return Status::InvalidArgument(StrFormat(
           "arrival references doc %u outside the streamed range [%zu, %zu)",
-          a.doc_index, base_size_, corpus_->size()));
+          a.doc_index, base_size, corpus.size()));
     }
     if (a.at_virtual_micros < 0) {
       return Status::InvalidArgument(
           StrFormat("arrival for doc %u has negative time", a.doc_index));
     }
-    uint8_t& flag = seen[a.doc_index - base_size_];
+    uint8_t& flag = seen[a.doc_index - base_size];
     if (flag != 0) {
       return Status::InvalidArgument(
           StrFormat("doc %u arrives twice", a.doc_index));
@@ -71,6 +77,10 @@ Status ScheduledCorpusSource::Validate() const {
     flag = 1;
   }
   return Status::OK();
+}
+
+Status ScheduledCorpusSource::Validate() const {
+  return ValidateArrivalSchedule(*corpus_, base_size_, arrivals_);
 }
 
 std::vector<DocumentArrival> BuildArrivalSchedule(

@@ -49,6 +49,13 @@ struct ArrivalScheduleOptions {
   uint64_t seed = 17;
 };
 
+/// Checks that `arrivals` covers [base_size, corpus.size()) exactly once:
+/// InvalidArgument for a missing, duplicated, base or out-of-range
+/// document, or a negative arrival time. Order does not matter.
+[[nodiscard]] Status ValidateArrivalSchedule(
+    const Corpus& corpus, size_t base_size,
+    const std::vector<DocumentArrival>& arrivals);
+
 /// The pull-based streaming view of a corpus: a fully materialized corpus
 /// whose *visibility* is time-gated. Documents [0, base_size) exist from
 /// the start (the offline base the index is built over); documents
@@ -80,8 +87,7 @@ class ScheduledCorpusSource {
   /// Number of documents visible at `virtual_now` (base + arrived).
   size_t VisibleCount(int64_t virtual_now_micros) const;
 
-  /// Checks that the schedule covers [base_size, corpus.size()) exactly
-  /// once and references no base or out-of-range document.
+  /// ValidateArrivalSchedule over this source's schedule.
   [[nodiscard]] Status Validate() const;
 
  private:

@@ -3,36 +3,79 @@
 #include <algorithm>
 #include <utility>
 
+#include "index/dense_matrix.h"
 #include "index/kmeans.h"
 #include "util/clock.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_annotations.h"
 
 namespace zombie {
 
 // --------------------------------------------------------------------------
 // IncrementalKMeansGrouper
 
-IncrementalKMeansGrouper::IncrementalKMeansGrouper(
-    IncrementalKMeansOptions options)
-    : options_(options) {
-  ZCHECK_GE(options.num_groups, 1u);
-  ZCHECK_GE(options.split_threshold, 4u);
-  ZCHECK_GE(options.max_groups, options.num_groups);
-  ZCHECK_GE(options.split_kmeans_iterations, 1u);
-}
+namespace {
 
-GroupingResult IncrementalKMeansGrouper::GroupBase(const Corpus& corpus,
-                                                   size_t base_size) {
-  ZCHECK(!base_built_) << "GroupBase called twice";
-  ZCHECK_GE(base_size, 1u);
-  ZCHECK_LE(base_size, corpus.size());
-  base_built_ = true;
-  Stopwatch watch;
-  GroupingResult result;
-  result.method = name();
+/// One logged arrival of a k-means trajectory, with the grouper's counts
+/// after it.
+struct KMeansStep {
+  uint32_t doc = 0;
+  IngestAssignment assignment;
+  size_t num_groups = 0;
+  size_t num_splits = 0;
+};
 
+}  // namespace
+
+/// The evolving k-means index of one (primed grouper, arrival order): the
+/// frontier state after every logged step, and the log itself.
+class IncrementalKMeansGrouper::Trajectory {
+ public:
+  /// Builds the base grouping over [0, base_size) into `result` (its
+  /// groups and build_virtual_micros) and primes the frontier.
+  Trajectory(const IncrementalKMeansOptions& options, const Corpus& corpus,
+             size_t base_size, GroupingResult* result);
+
+  size_t base_size() const { return base_size_; }
+
+  /// Step `cursor` of this trajectory, provided it ingests `doc`: the
+  /// logged step, or a new one computed at the frontier when `cursor` is
+  /// the end of the log. False when the logged step ingested another doc.
+  bool StepAt(size_t cursor, const Corpus& corpus, uint32_t doc,
+              KMeansStep* out) ZOMBIE_EXCLUDES(mu_);
+
+  /// Docs ingested by steps [0, count).
+  std::vector<uint32_t> Docs(size_t count) const ZOMBIE_EXCLUDES(mu_);
+
+ private:
+  /// Ingests `doc_index` at the frontier.
+  IngestAssignment Advance(const Corpus& corpus, uint32_t doc_index)
+      ZOMBIE_REQUIRES(mu_);
+
+  const IncrementalKMeansOptions options_;
+  const size_t base_size_;
+  std::vector<double> idf_;  // frozen at construction
+  mutable Mutex mu_;
+  /// One centroid row per group.
+  DenseMatrix centroids_ ZOMBIE_GUARDED_BY(mu_);
+  /// Current members per group (doc ids + their signature rows, parallel)
+  /// — the split working set, one DenseMatrix per group. A split moves the
+  /// smaller half's entries to the new group.
+  std::vector<std::vector<uint32_t>> member_docs_ ZOMBIE_GUARDED_BY(mu_);
+  std::vector<DenseMatrix> member_sigs_ ZOMBIE_GUARDED_BY(mu_);
+  /// Member count at which group g next attempts a split (re-armed after
+  /// every attempt so a degenerate group cannot retry per arrival).
+  std::vector<size_t> next_split_at_ ZOMBIE_GUARDED_BY(mu_);
+  size_t num_splits_ ZOMBIE_GUARDED_BY(mu_) = 0;
+  std::vector<KMeansStep> log_ ZOMBIE_GUARDED_BY(mu_);
+};
+
+IncrementalKMeansGrouper::Trajectory::Trajectory(
+    const IncrementalKMeansOptions& options, const Corpus& corpus,
+    size_t base_size, GroupingResult* result)
+    : options_(options), base_size_(base_size) {
   PrefixSignatures sigs =
       ComputeSignaturesForPrefix(corpus, base_size, options_.signature);
   idf_ = std::move(sigs.idf);
@@ -43,7 +86,7 @@ GroupingResult IncrementalKMeansGrouper::GroupBase(const Corpus& corpus,
   const DenseMatrix& rows = sigs.matrix.rows;
   KMeansResult km = RunKMeans(rows, kcfg);
 
-  result.groups.resize(kcfg.k);
+  result->groups.resize(kcfg.k);
   centroids_ = std::move(km.centroids);
   member_docs_.resize(kcfg.k);
   member_sigs_.assign(kcfg.k, DenseMatrix(rows.dim()));
@@ -52,20 +95,45 @@ GroupingResult IncrementalKMeansGrouper::GroupBase(const Corpus& corpus,
   for (size_t i = 0; i < km.assignments.size(); ++i) {
     size_t g = km.assignments[i];
     ZCHECK_LT(g, kcfg.k);
-    result.groups[g].push_back(static_cast<uint32_t>(i));
+    result->groups[g].push_back(static_cast<uint32_t>(i));
     member_docs_[g].push_back(static_cast<uint32_t>(i));
     rows.CopyRow(i, row.data());
     member_sigs_[g].AppendRow(row.data());
   }
-  result.build_virtual_micros = sigs.matrix.virtual_cost_micros;
-  result.build_wall_micros = watch.ElapsedMicros();
-  return result;
+  result->build_virtual_micros = sigs.matrix.virtual_cost_micros;
 }
 
-IngestAssignment IncrementalKMeansGrouper::AssignOrSplit(const Corpus& corpus,
-                                                         uint32_t doc_index) {
-  ZCHECK(base_built_) << "AssignOrSplit before GroupBase";
-  ZCHECK_LT(doc_index, corpus.size());
+bool IncrementalKMeansGrouper::Trajectory::StepAt(size_t cursor,
+                                                  const Corpus& corpus,
+                                                  uint32_t doc,
+                                                  KMeansStep* out) {
+  MutexLock lock(&mu_);
+  ZCHECK_LE(cursor, log_.size());
+  if (cursor == log_.size()) {
+    KMeansStep step;
+    step.doc = doc;
+    step.assignment = Advance(corpus, doc);
+    step.num_groups = centroids_.num_rows();
+    step.num_splits = num_splits_;
+    log_.push_back(std::move(step));
+  } else if (log_[cursor].doc != doc) {
+    return false;
+  }
+  *out = log_[cursor];
+  return true;
+}
+
+std::vector<uint32_t> IncrementalKMeansGrouper::Trajectory::Docs(
+    size_t count) const {
+  MutexLock lock(&mu_);
+  ZCHECK_LE(count, log_.size());
+  std::vector<uint32_t> docs(count);
+  for (size_t i = 0; i < count; ++i) docs[i] = log_[i].doc;
+  return docs;
+}
+
+IngestAssignment IncrementalKMeansGrouper::Trajectory::Advance(
+    const Corpus& corpus, uint32_t doc_index) {
   std::vector<double> sig = ComputeSignature(
       corpus.doc(doc_index), options_.signature,
       idf_.empty() ? nullptr : &idf_);
@@ -144,6 +212,54 @@ IngestAssignment IncrementalKMeansGrouper::AssignOrSplit(const Corpus& corpus,
                            options_.split_threshold);
   ++num_splits_;
   return out;
+}
+
+IncrementalKMeansGrouper::IncrementalKMeansGrouper(
+    IncrementalKMeansOptions options)
+    : options_(options) {
+  ZCHECK_GE(options.num_groups, 1u);
+  ZCHECK_GE(options.split_threshold, 4u);
+  ZCHECK_GE(options.max_groups, options.num_groups);
+  ZCHECK_GE(options.split_kmeans_iterations, 1u);
+}
+
+GroupingResult IncrementalKMeansGrouper::GroupBase(const Corpus& corpus,
+                                                   size_t base_size) {
+  ZCHECK(trajectory_ == nullptr) << "GroupBase called twice";
+  ZCHECK_GE(base_size, 1u);
+  ZCHECK_LE(base_size, corpus.size());
+  Stopwatch watch;
+  GroupingResult result;
+  result.method = name();
+  trajectory_ =
+      std::make_shared<Trajectory>(options_, corpus, base_size, &result);
+  num_groups_ = result.groups.size();
+  result.build_wall_micros = watch.ElapsedMicros();
+  return result;
+}
+
+IngestAssignment IncrementalKMeansGrouper::AssignOrSplit(const Corpus& corpus,
+                                                         uint32_t doc_index) {
+  ZCHECK(trajectory_ != nullptr) << "AssignOrSplit before GroupBase";
+  ZCHECK_LT(doc_index, corpus.size());
+  KMeansStep step;
+  if (!trajectory_->StepAt(cursor_, corpus, doc_index, &step)) {
+    // Another arrival order than the shared log's: replay this instance's
+    // own history onto a private trajectory and continue there.
+    const std::vector<uint32_t> history = trajectory_->Docs(cursor_);
+    GroupingResult base;
+    auto own = std::make_shared<Trajectory>(options_, corpus,
+                                            trajectory_->base_size(), &base);
+    for (size_t c = 0; c <= history.size(); ++c) {
+      const uint32_t doc = c < history.size() ? history[c] : doc_index;
+      ZCHECK(own->StepAt(c, corpus, doc, &step));
+    }
+    trajectory_ = std::move(own);
+  }
+  ++cursor_;
+  num_groups_ = step.num_groups;
+  num_splits_ = step.num_splits;
+  return std::move(step.assignment);
 }
 
 std::string IncrementalKMeansGrouper::name() const {

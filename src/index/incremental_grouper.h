@@ -9,7 +9,6 @@
 
 #include "data/corpus.h"
 #include "index/grouped_corpus.h"
-#include "index/dense_matrix.h"
 #include "index/grouper.h"
 #include "index/signature.h"
 #include "index/token_grouper.h"
@@ -49,8 +48,10 @@ struct IngestAssignment {
 ///
 /// Instances are stateful (centroids, domain maps, token tables evolve
 /// with the stream). The engine clones the primed grouper per run, so one
-/// prototype can serve many concurrent trials; Clone() must copy the full
-/// post-GroupBase state.
+/// prototype can serve many concurrent trials. A clone must make exactly
+/// the decisions the original would make from the same point on, and
+/// driving one must never change the other's; how it gets there is the
+/// grouper's choice (a copy of the state, or a shared read-only history).
 class IncrementalGrouper {
  public:
   virtual ~IncrementalGrouper() = default;
@@ -83,6 +84,20 @@ class IncrementalGrouper {
 /// member signatures: the smaller half becomes a new group (a new arm),
 /// both halves get their recomputed centroids. Signatures of arrivals use
 /// the base-frozen IDF table, so geometry never depends on unseen data.
+///
+/// The index evolution depends only on the primed state and the arrival
+/// order, never on the run that reads it, so it is computed once per
+/// (primed grouper, arrival order). GroupBase creates a trajectory: the
+/// live frontier state plus an append-only log of every step taken. An
+/// instance is a shared pointer to a trajectory and its own cursor into
+/// it; Clone() copies those two. AssignOrSplit at cursor c returns logged
+/// step c when that step ingested the same document; at the end of the
+/// log it computes the step at the frontier and logs it. An instance fed
+/// another document than the log's step c diverges: it rebuilds a private
+/// trajectory (GroupBase over the corpus it is given, then its own c
+/// logged documents) and continues there, leaving the shared one as it
+/// was. The trajectory is mutex-guarded, so clones may run on different
+/// threads.
 struct IncrementalKMeansOptions {
   size_t num_groups = 32;
   uint64_t seed = 7;
@@ -102,28 +117,27 @@ class IncrementalKMeansGrouper : public IncrementalGrouper {
   GroupingResult GroupBase(const Corpus& corpus, size_t base_size) override;
   IngestAssignment AssignOrSplit(const Corpus& corpus,
                                  uint32_t doc_index) override;
-  size_t num_groups() const override { return centroids_.num_rows(); }
+  size_t num_groups() const override { return num_groups_; }
   std::string name() const override;
+  /// Shares this instance's trajectory and copies its cursor: O(1), no
+  /// copy of centroids or member signatures.
   std::unique_ptr<IncrementalGrouper> Clone() const override;
 
   /// Splits performed so far (testing accessor).
   size_t num_splits() const { return num_splits_; }
 
  private:
+  class Trajectory;  // incremental_grouper.cc
+
   IncrementalKMeansOptions options_;
-  std::vector<double> idf_;  // frozen at GroupBase
-  /// One centroid row per group.
-  DenseMatrix centroids_;
-  /// Current members per group (doc ids + their signature rows, parallel)
-  /// — the split working set, one DenseMatrix per group. A split moves the
-  /// smaller half's entries to the new group.
-  std::vector<std::vector<uint32_t>> member_docs_;
-  std::vector<DenseMatrix> member_sigs_;
-  /// Member count at which group g next attempts a split (re-armed after
-  /// every attempt so a degenerate group cannot retry per arrival).
-  std::vector<size_t> next_split_at_;
+  /// The index evolution this instance reads; null before GroupBase.
+  /// Every clone of a primed grouper shares it until one diverges.
+  std::shared_ptr<Trajectory> trajectory_;
+  /// Arrivals consumed so far: the next AssignOrSplit is step `cursor_`.
+  size_t cursor_ = 0;
+  /// num_groups() / num_splits() after step cursor_ - 1.
+  size_t num_groups_ = 0;
   size_t num_splits_ = 0;
-  bool base_built_ = false;
 };
 
 /// Metadata (domain) incremental grouping: first-seen domains open groups

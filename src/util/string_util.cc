@@ -1,10 +1,46 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <system_error>
 
 namespace zombie {
+
+namespace {
+
+// std::from_chars over the whole of `s`: fails on an empty string,
+// trailing characters or a value out of T's range.
+template <typename T>
+StatusOr<T> ParseWhole(std::string_view s, const char* what) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, value);
+  if (s.empty() || r.ec != std::errc() || r.ptr != end) {
+    return Status::InvalidArgument(
+        StrFormat("'%.*s' is not %s", static_cast<int>(s.size()), s.data(),
+                  what));
+  }
+  return value;
+}
+
+}  // namespace
+
+StatusOr<int64_t> ParseInt64(std::string_view s) {
+  return ParseWhole<int64_t>(s, "a 64-bit integer");
+}
+
+StatusOr<double> ParseFiniteDouble(std::string_view s) {
+  StatusOr<double> v = ParseWhole<double>(s, "a finite number");
+  if (v.ok() && !std::isfinite(v.value())) {
+    return Status::InvalidArgument(
+        StrFormat("'%.*s' is not a finite number", static_cast<int>(s.size()),
+                  s.data()));
+  }
+  return v;
+}
 
 std::vector<std::string> Split(std::string_view s, char sep) {
   std::vector<std::string> out;

@@ -1,9 +1,12 @@
 #ifndef ZOMBIE_UTIL_STRING_UTIL_H_
 #define ZOMBIE_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 namespace zombie {
 
@@ -21,6 +24,16 @@ std::string_view StripAsciiWhitespace(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
+
+/// Parses all of `s` as a base-10 integer (optional leading '-'; no
+/// whitespace, '+' or trailing characters). InvalidArgument when `s` is
+/// empty, malformed or outside the int64 range.
+StatusOr<int64_t> ParseInt64(std::string_view s);
+
+/// Parses all of `s` as a finite decimal floating-point number (optional
+/// leading '-', optional exponent). InvalidArgument when `s` is empty,
+/// malformed, infinite, NaN or out of the double range.
+StatusOr<double> ParseFiniteDouble(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

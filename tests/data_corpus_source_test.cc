@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <set>
+#include <vector>
 
 #include "data/generator.h"
+#include "util/random.h"
+#include "util/status.h"
 
 namespace zombie {
 namespace {
@@ -109,7 +113,9 @@ TEST(ArrivalScheduleTest, DomainGroupedOrderIsGroupedAndStable) {
       first = true;
     }
     // ...and within a block, corpus order is preserved (stable sort).
-    if (!first) EXPECT_GT(a.doc_index, prev_index);
+    if (!first) {
+      EXPECT_GT(a.doc_index, prev_index);
+    }
     prev_index = a.doc_index;
     first = false;
   }
@@ -171,6 +177,69 @@ TEST(ScheduledCorpusSourceTest, FullBaseMeansDrainedStream) {
   ScheduledCorpusSource source(&corpus, corpus.size(), std::move(schedule));
   EXPECT_TRUE(source.Validate().ok());
   EXPECT_EQ(source.VisibleCount(0), corpus.size());
+}
+
+// Seeded property test of ValidateArrivalSchedule: every permutation of
+// the streamed suffix, at any non-negative times and in any order, is a
+// valid schedule; each single corruption of one is rejected.
+TEST(ValidateArrivalScheduleTest, PropertyAcceptsPermutationsRejectsDefects) {
+  Corpus corpus = SmallCorpus(60);
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const size_t base = 1 + rng.NextBelow(corpus.size());  // [1, size]
+    std::vector<DocumentArrival> valid;
+    for (size_t d = base; d < corpus.size(); ++d) {
+      DocumentArrival a;
+      a.doc_index = static_cast<uint32_t>(d);
+      // Ties and zero times are valid.
+      a.at_virtual_micros = rng.NextInRange(0, 50);
+      valid.push_back(a);
+    }
+    rng.Shuffle(&valid);
+    ASSERT_TRUE(ValidateArrivalSchedule(corpus, base, valid).ok());
+    EXPECT_TRUE(ScheduledCorpusSource(&corpus, base, valid).Validate().ok());
+    if (valid.empty()) continue;
+
+    const size_t pick = rng.NextBelow(valid.size());
+    auto expect_rejected = [&](std::vector<DocumentArrival> bad,
+                               const char* defect) {
+      Status st = ValidateArrivalSchedule(corpus, base, bad);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << defect;
+    };
+    std::vector<DocumentArrival> dropped = valid;
+    dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(pick));
+    expect_rejected(dropped, "dropped");
+
+    std::vector<DocumentArrival> duplicated = valid;
+    duplicated.push_back(valid[pick]);
+    expect_rejected(duplicated, "duplicated (extra)");
+    if (valid.size() >= 2) {
+      // Same length: one arrival replaced by another's document.
+      duplicated = valid;
+      duplicated[pick].doc_index = valid[(pick + 1) % valid.size()].doc_index;
+      expect_rejected(duplicated, "duplicated (replaced)");
+    }
+
+    std::vector<DocumentArrival> based = valid;
+    based[pick].doc_index = static_cast<uint32_t>(rng.NextBelow(base));
+    expect_rejected(based, "base document");
+
+    std::vector<DocumentArrival> out_of_range = valid;
+    out_of_range[pick].doc_index = static_cast<uint32_t>(
+        corpus.size() + rng.NextBelow(1000));
+    expect_rejected(out_of_range, "out of range");
+
+    std::vector<DocumentArrival> negative = valid;
+    negative[pick].at_virtual_micros = -1 - rng.NextInRange(0, 1000);
+    expect_rejected(negative, "negative time");
+  }
+}
+
+TEST(ValidateArrivalScheduleTest, RejectsBaseBeyondCorpus) {
+  Corpus corpus = SmallCorpus(10);
+  EXPECT_EQ(ValidateArrivalSchedule(corpus, 11, {}).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "data/generator.h"
 
@@ -134,6 +137,194 @@ TEST(IncrementalKMeansTest, CloneIsIndependentDeepCopy) {
   size_t original_groups = grouper.num_groups();
   for (uint32_t d = 150; d < 300; ++d) clone->AssignOrSplit(corpus, d);
   EXPECT_EQ(grouper.num_groups(), original_groups);
+}
+
+// ---------------------------------------------------------------------------
+// k-means: one trajectory shared by clones
+// ---------------------------------------------------------------------------
+
+// What one AssignOrSplit did, plus the grouper's counts after it.
+struct KMeansStepRecord {
+  std::vector<size_t> groups;
+  std::vector<size_t> new_sources;
+  std::vector<std::vector<uint32_t>> new_members;
+  size_t num_groups = 0;
+  size_t num_splits = 0;
+
+  bool operator==(const KMeansStepRecord& o) const {
+    return groups == o.groups && new_sources == o.new_sources &&
+           new_members == o.new_members && num_groups == o.num_groups &&
+           num_splits == o.num_splits;
+  }
+};
+
+KMeansStepRecord Ingest(IncrementalKMeansGrouper* g, const Corpus& corpus,
+                        uint32_t doc) {
+  IngestAssignment a = g->AssignOrSplit(corpus, doc);
+  KMeansStepRecord r;
+  r.groups = a.groups;
+  for (const NewGroupSeed& seed : a.new_groups) {
+    r.new_sources.push_back(seed.source_group);
+    r.new_members.push_back(seed.members);
+  }
+  r.num_groups = g->num_groups();
+  r.num_splits = g->num_splits();
+  return r;
+}
+
+std::unique_ptr<IncrementalKMeansGrouper> CloneOf(
+    const IncrementalKMeansGrouper& g) {
+  return std::unique_ptr<IncrementalKMeansGrouper>(
+      static_cast<IncrementalKMeansGrouper*>(g.Clone().release()));
+}
+
+constexpr size_t kTrajectoryBase = 100;
+
+IncrementalKMeansOptions TrajectoryOptions() {
+  IncrementalKMeansOptions opts;
+  opts.num_groups = 4;
+  opts.split_threshold = 8;  // many splits over the stream
+  return opts;
+}
+
+// The steps a fresh, unshared grouper takes over `order`.
+std::vector<KMeansStepRecord> FreshTrace(const Corpus& corpus,
+                                         const std::vector<uint32_t>& order) {
+  IncrementalKMeansGrouper fresh(TrajectoryOptions());
+  fresh.GroupBase(corpus, kTrajectoryBase);
+  std::vector<KMeansStepRecord> trace;
+  for (uint32_t d : order) trace.push_back(Ingest(&fresh, corpus, d));
+  return trace;
+}
+
+std::vector<uint32_t> SuffixOrder(const Corpus& corpus) {
+  std::vector<uint32_t> order;
+  for (uint32_t d = kTrajectoryBase; d < corpus.size(); ++d) {
+    order.push_back(d);
+  }
+  return order;
+}
+
+TEST(IncrementalKMeansTrajectoryTest, LockstepClonesMatchFreshGrouper) {
+  Corpus corpus = TestCorpus(400);
+  const std::vector<uint32_t> order = SuffixOrder(corpus);
+  const std::vector<KMeansStepRecord> want = FreshTrace(corpus, order);
+  IncrementalKMeansGrouper prototype(TrajectoryOptions());
+  prototype.GroupBase(corpus, kTrajectoryBase);
+  auto a = CloneOf(prototype);
+  auto b = CloneOf(prototype);
+  for (size_t i = 0; i < order.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(Ingest(a.get(), corpus, order[i]) == want[i]);
+    ASSERT_TRUE(Ingest(b.get(), corpus, order[i]) == want[i]);
+  }
+  EXPECT_GT(want.back().num_splits, 0u) << "the stream must split groups";
+  // The prototype itself never moved, and still reads the shared log.
+  EXPECT_EQ(prototype.num_splits(), 0u);
+  EXPECT_TRUE(Ingest(&prototype, corpus, order[0]) == want[0]);
+}
+
+TEST(IncrementalKMeansTrajectoryTest, StaggeredClonesMatchFreshGrouper) {
+  Corpus corpus = TestCorpus(400);
+  const std::vector<uint32_t> order = SuffixOrder(corpus);
+  const std::vector<KMeansStepRecord> want = FreshTrace(corpus, order);
+  IncrementalKMeansGrouper prototype(TrajectoryOptions());
+  prototype.GroupBase(corpus, kTrajectoryBase);
+  auto ahead = CloneOf(prototype);
+  auto behind = CloneOf(prototype);
+  // `ahead` extends the log by 120 steps; `behind` replays 60 of them, then
+  // a clone of `behind` taken mid-log follows it; finally `behind`
+  // overtakes `ahead` and extends the log itself.
+  for (size_t i = 0; i < 120; ++i) {
+    ASSERT_TRUE(Ingest(ahead.get(), corpus, order[i]) == want[i]) << i;
+  }
+  for (size_t i = 0; i < 60; ++i) {
+    ASSERT_TRUE(Ingest(behind.get(), corpus, order[i]) == want[i]) << i;
+  }
+  auto follower = CloneOf(*behind);
+  EXPECT_EQ(follower->num_groups(), want[59].num_groups);
+  EXPECT_EQ(follower->num_splits(), want[59].num_splits);
+  for (size_t i = 60; i < 200; ++i) {
+    ASSERT_TRUE(Ingest(behind.get(), corpus, order[i]) == want[i]) << i;
+  }
+  for (size_t i = 120; i < order.size(); ++i) {
+    ASSERT_TRUE(Ingest(ahead.get(), corpus, order[i]) == want[i]) << i;
+  }
+  for (size_t i = 60; i < order.size(); ++i) {
+    ASSERT_TRUE(Ingest(follower.get(), corpus, order[i]) == want[i]) << i;
+  }
+}
+
+TEST(IncrementalKMeansTrajectoryTest, OtherArrivalOrderDivergesPrivately) {
+  Corpus corpus = TestCorpus(400);
+  const std::vector<uint32_t> order = SuffixOrder(corpus);
+  const std::vector<KMeansStepRecord> want = FreshTrace(corpus, order);
+  // The same prefix, then the rest in reverse order.
+  constexpr size_t kShared = 80;
+  std::vector<uint32_t> other(order.begin(), order.begin() + kShared);
+  other.insert(other.end(), order.rbegin(), order.rend() - kShared);
+  const std::vector<KMeansStepRecord> want_other = FreshTrace(corpus, other);
+  // A wholly different order from the first arrival on.
+  std::vector<uint32_t> reversed(order.rbegin(), order.rend());
+  const std::vector<KMeansStepRecord> want_reversed =
+      FreshTrace(corpus, reversed);
+
+  IncrementalKMeansGrouper prototype(TrajectoryOptions());
+  prototype.GroupBase(corpus, kTrajectoryBase);
+  auto leader = CloneOf(prototype);
+  for (size_t i = 0; i < 150; ++i) {
+    ASSERT_TRUE(Ingest(leader.get(), corpus, order[i]) == want[i]) << i;
+  }
+  auto rebel = CloneOf(prototype);
+  std::unique_ptr<IncrementalKMeansGrouper> rebel_follower;
+  for (size_t i = 0; i < other.size(); ++i) {
+    ASSERT_TRUE(Ingest(rebel.get(), corpus, other[i]) == want_other[i]) << i;
+    if (i == kShared + 20) rebel_follower = CloneOf(*rebel);
+  }
+  for (size_t i = kShared + 21; i < other.size(); ++i) {
+    ASSERT_TRUE(Ingest(rebel_follower.get(), corpus, other[i]) ==
+                want_other[i])
+        << i;
+  }
+  auto reverser = CloneOf(prototype);
+  for (size_t i = 0; i < reversed.size(); ++i) {
+    ASSERT_TRUE(Ingest(reverser.get(), corpus, reversed[i]) ==
+                want_reversed[i])
+        << i;
+  }
+  // The shared trajectory did not move: the leader and a new clone of the
+  // prototype still follow the original order.
+  for (size_t i = 150; i < order.size(); ++i) {
+    ASSERT_TRUE(Ingest(leader.get(), corpus, order[i]) == want[i]) << i;
+  }
+  auto late = CloneOf(prototype);
+  for (size_t i = 0; i < order.size(); ++i) {
+    ASSERT_TRUE(Ingest(late.get(), corpus, order[i]) == want[i]) << i;
+  }
+}
+
+TEST(IncrementalKMeansTrajectoryTest, ConcurrentClonesMatchFreshGrouper) {
+  Corpus corpus = TestCorpus(400);
+  const std::vector<uint32_t> order = SuffixOrder(corpus);
+  const std::vector<KMeansStepRecord> want = FreshTrace(corpus, order);
+  IncrementalKMeansGrouper prototype(TrajectoryOptions());
+  prototype.GroupBase(corpus, kTrajectoryBase);
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<KMeansStepRecord>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto clone = CloneOf(prototype);
+      for (uint32_t d : order) got[t].push_back(Ingest(clone.get(), corpus, d));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[t][i] == want[i]) << "thread " << t << " step " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace zombie {
 namespace {
 
@@ -50,6 +52,41 @@ TEST(StrFormatTest, FormatsLikePrintf) {
   // Long outputs are not truncated.
   std::string lots = StrFormat("%0500d", 1);
   EXPECT_EQ(lots.size(), 500u);
+}
+
+TEST(ParseInt64Test, AcceptsWholeIntegers) {
+  EXPECT_EQ(ParseInt64("0").value(), 0);
+  EXPECT_EQ(ParseInt64("12000").value(), 12000);
+  EXPECT_EQ(ParseInt64("-1").value(), -1);
+  EXPECT_EQ(ParseInt64("9223372036854775807").value(), INT64_MAX);
+  EXPECT_EQ(ParseInt64("-9223372036854775808").value(), INT64_MIN);
+}
+
+TEST(ParseInt64Test, RejectsAnythingElse) {
+  for (const char* bad :
+       {"", "abc", "12x", "x12", " 1", "1 ", "+1", "1.5", "1e3", "--1",
+        "9223372036854775808", "-9223372036854775809", "0x10"}) {
+    StatusOr<int64_t> v = ParseInt64(bad);
+    EXPECT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(ParseFiniteDoubleTest, AcceptsWholeFiniteNumbers) {
+  EXPECT_EQ(ParseFiniteDouble("0").value(), 0.0);
+  EXPECT_EQ(ParseFiniteDouble("0.3").value(), 0.3);
+  EXPECT_EQ(ParseFiniteDouble("-2.5").value(), -2.5);
+  EXPECT_EQ(ParseFiniteDouble("1e3").value(), 1000.0);
+  EXPECT_EQ(ParseFiniteDouble("100").value(), 100.0);
+}
+
+TEST(ParseFiniteDoubleTest, RejectsAnythingElse) {
+  for (const char* bad : {"", "abc", "0.3x", " 1", "1 ", "+1", "inf", "-inf",
+                          "infinity", "nan", "NaN", "1e999", "1,5", "."}) {
+    StatusOr<double> v = ParseFiniteDouble(bad);
+    EXPECT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 }  // namespace

@@ -23,8 +23,11 @@
 //                       [--decisions-out=...]
 //   zombie_cli simd-level [--print=active|detected]
 //
-// Flags are --key=value; unknown flags fail loudly. When --corpus is given
-// it is loaded from disk, otherwise --task/--docs/--seed generate one.
+// Flags are --key=value; unknown flags fail loudly. Numeric flags must
+// parse whole and lie in their range (kNumericFlags), checked before
+// anything is built: a bad value exits 1 with a message. When --corpus is
+// given it is loaded from disk, otherwise --task/--docs/--seed generate
+// one.
 // The three --*-out flags enable the matching observability sink for the
 // run and write it on exit: --trace-out produces Chrome/Perfetto-loadable
 // trace JSON, --metrics-out a metrics snapshot, --decisions-out the
@@ -109,6 +112,56 @@ namespace {
 // Flag parsing
 // ---------------------------------------------------------------------------
 
+// Every numeric flag and the values it accepts. Main checks each one given
+// against this table before any command builds anything, so a malformed
+// or out-of-range value exits 1 with a message: it never reaches a ZCHECK,
+// and a negative count never wraps to 2^64. Ranges are inclusive unless
+// `max_open`.
+struct NumericFlag {
+  const char* key;
+  bool integer;
+  double min;
+  double max;
+  bool max_open;
+};
+
+constexpr double kInt64Max = 9223372036854775807.0;
+
+constexpr NumericFlag kNumericFlags[] = {
+    {"docs", true, 1, 1e7, false},
+    {"seed", true, 0, kInt64Max, false},
+    {"grouper_seed", true, 0, kInt64Max, false},
+    {"run_seed", true, 0, kInt64Max, false},
+    {"stream-seed", true, 0, kInt64Max, false},
+    // The incremental k-means grouper caps its groups at 512.
+    {"groups", true, 1, 512, false},
+    {"holdout", true, 1, 1e7, false},
+    {"eval_every", true, 1, 1e7, false},
+    {"max_items", true, 1, kInt64Max, false},
+    {"prefetch-threads", true, 0, 64, false},
+    {"prefetch-arms", true, 1, 512, false},
+    {"trials", true, 1, 10000, false},
+    // 0 picks the hardware concurrency.
+    {"threads", true, 0, 256, false},
+    {"stream", false, 0, 1, true},
+    // Bounded below so a 10M-document schedule's virtual times fit int64.
+    {"ingest-rate", false, 1e-3, 1e9, false},
+};
+
+const NumericFlag* FindNumericFlag(const std::string& key) {
+  for (const NumericFlag& f : kNumericFlags) {
+    if (key == f.key) return &f;
+  }
+  return nullptr;
+}
+
+std::string RangeText(const NumericFlag& f) {
+  const char* kind = f.integer ? "an integer" : "a number";
+  if (f.max == kInt64Max) return StrFormat("%s >= %g", kind, f.min);
+  return StrFormat("%s in [%g, %g%s", kind, f.min, f.max,
+                   f.max_open ? ")" : "]");
+}
+
 class Flags {
  public:
   [[nodiscard]] Status Parse(int argc, char** argv, int first) {
@@ -134,16 +187,54 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// Numeric flags must be listed in kNumericFlags; CheckNumeric has
+  /// already accepted any value given.
   int64_t GetInt(const std::string& key, int64_t fallback) const {
+    ZCHECK(FindNumericFlag(key) != nullptr) << "--" << key << " not listed";
     auto it = values_.find(key);
     consumed_.insert(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    StatusOr<int64_t> v = ParseInt64(it->second);
+    ZCHECK_OK(v.status());
+    return v.value();
   }
 
   double GetDouble(const std::string& key, double fallback) const {
+    ZCHECK(FindNumericFlag(key) != nullptr) << "--" << key << " not listed";
     auto it = values_.find(key);
     consumed_.insert(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    StatusOr<double> v = ParseFiniteDouble(it->second);
+    ZCHECK_OK(v.status());
+    return v.value();
+  }
+
+  /// Checks every numeric flag given against kNumericFlags: the whole
+  /// value must parse (integers as integers, reals as finite numbers) and
+  /// lie in the flag's range.
+  [[nodiscard]] Status CheckNumeric() const {
+    auto flag_error = [](const NumericFlag& f, const std::string& what) {
+      return Status::InvalidArgument(StrFormat(
+          "--%s: %s; want %s", f.key, what.c_str(), RangeText(f).c_str()));
+    };
+    for (const NumericFlag& f : kNumericFlags) {
+      auto it = values_.find(f.key);
+      if (it == values_.end()) continue;
+      double v = 0.0;
+      if (f.integer) {
+        StatusOr<int64_t> i = ParseInt64(it->second);
+        if (!i.ok()) return flag_error(f, i.status().message());
+        v = static_cast<double>(i.value());
+      } else {
+        StatusOr<double> d = ParseFiniteDouble(it->second);
+        if (!d.ok()) return flag_error(f, d.status().message());
+        v = d.value();
+      }
+      if (v < f.min || v > f.max || (f.max_open && v == f.max)) {
+        return flag_error(f, "'" + it->second + "' is out of range");
+      }
+    }
+    return Status::OK();
   }
 
   bool GetBool(const std::string& key) const {
@@ -473,7 +564,18 @@ int CmdInspect(const Flags& flags) {
   return 0;
 }
 
+/// EngineOptions::Validate as a CLI error, so flag combinations the engine
+/// would reject (a --holdout below the probe size) exit 1 before the
+/// corpus is built.
+bool EngineOptionsValid(const EngineOptions& opts) {
+  Status st = opts.Validate();
+  if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return st.ok();
+}
+
 int CmdRun(const Flags& flags) {
+  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
+  if (!EngineOptionsValid(opts)) return 1;
   StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
   if (!corpus_or.ok()) {
     std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
@@ -495,7 +597,6 @@ int CmdRun(const Flags& flags) {
     std::fprintf(stderr, "unknown grouper/policy/reward/learner\n");
     return 1;
   }
-  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
   bool with_baseline = flags.GetBool("baseline");
   bool use_cache = flags.GetBool("cache");
   PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
@@ -518,7 +619,6 @@ int CmdRun(const Flags& flags) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  if (trials == 0) trials = 1;
 
   // The store retains everything by default; --store-gc keeps only this
   // run's pipeline fingerprint (drops records from other feature code).
@@ -535,10 +635,6 @@ int CmdRun(const Flags& flags) {
   std::unique_ptr<ScheduledCorpusSource> source;
   GroupingResult grouping;
   if (streaming) {
-    if (stream_fraction >= 1.0) {
-      std::fprintf(stderr, "--stream must be in (0, 1)\n");
-      return 1;
-    }
     igrouper = MakeIncrementalGrouperFromFlags(flags);
     if (igrouper == nullptr) {
       std::fprintf(stderr,
@@ -650,6 +746,8 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdSession(const Flags& flags) {
+  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
+  if (!EngineOptionsValid(opts)) return 1;
   StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
   if (!corpus_or.ok()) {
     std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
@@ -659,7 +757,6 @@ int CmdSession(const Flags& flags) {
   bool warm = flags.GetBool("warm");
   bool use_cache = flags.GetBool("cache");
   PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
-  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
   size_t groups = static_cast<size_t>(flags.GetInt("groups", 32));
   std::string store_path = flags.GetString("store-path", "");
   ObsOutputs obs_out = GetObsOutputs(flags);
@@ -766,6 +863,11 @@ int Main(int argc, char** argv) {
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
+  }
+  st = flags.CheckNumeric();
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 1;
   }
   std::string cmd = argv[1];
   if (cmd == "generate") return CmdGenerate(flags);
