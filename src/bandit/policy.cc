@@ -1,6 +1,5 @@
 #include "bandit/policy.h"
 
-#include <algorithm>
 
 #include "bandit/epsilon_greedy.h"
 #include "bandit/exp3.h"
@@ -20,27 +19,6 @@ void BanditPolicy::ScoreArms(const ArmStats& stats,
   for (size_t a = 0; a < stats.num_arms(); ++a) {
     if (stats.active(a)) (*out)[a] = stats.mean(a);
   }
-}
-
-void BanditPolicy::RankArms(const ArmStats& stats, size_t max_arms,
-                            std::vector<size_t>* out) const {
-  out->clear();
-  if (max_arms == 0) return;
-  std::vector<double> scores;
-  ScoreArms(stats, &scores);
-  for (size_t a = 0; a < scores.size(); ++a) {
-    if (stats.active(a)) out->push_back(a);
-  }
-  size_t k = std::min(max_arms, out->size());
-  // Deterministic order: score descending, index ascending on ties — the
-  // ranking must not depend on sort implementation details.
-  std::partial_sort(out->begin(),
-                    out->begin() + static_cast<std::ptrdiff_t>(k), out->end(),
-                    [&scores](size_t x, size_t y) {
-                      if (scores[x] != scores[y]) return scores[x] > scores[y];
-                      return x < y;
-                    });
-  out->resize(k);
 }
 
 const char* PolicyKindName(PolicyKind kind) {

@@ -38,7 +38,7 @@ class BanditPolicy {
   /// stats.num_arms() - 1 and per-arm state must grow to match before the
   /// next SelectArm/ScoreArms. The default no-op suits policies whose only
   /// per-arm state lives in ArmStats; stateful policies (Exp3, Thompson,
-  /// SlidingUcb) override to append an entry that keeps ScoreArms/RankArms
+  /// SlidingUcb) override to append an entry that keeps ScoreArms
   /// deterministic — no RNG draws allowed here, for the same reason as
   /// ScoreArms.
   virtual void OnArmAdded(size_t arm) { (void)arm; }
@@ -53,15 +53,6 @@ class BanditPolicy {
   /// layer calls this per pull without touching the run's RNG stream —
   /// the decision-log determinism tests depend on that).
   virtual void ScoreArms(const ArmStats& stats, std::vector<double>* out) const;
-
-  /// Indices of the top `max_arms` *active* arms by ScoreArms() score,
-  /// best first, ties broken toward the lower index. This is the
-  /// speculation hook: the prefetcher asks "which arms is the policy most
-  /// likely to pull next" without touching the run's RNG stream, so it
-  /// inherits ScoreArms' constraints — cheap, no mutation, no randomness.
-  /// `out` is cleared and holds at most min(max_arms, num active) entries.
-  void RankArms(const ArmStats& stats, size_t max_arms,
-                std::vector<size_t>* out) const;
 
   /// Fresh policy with identical hyperparameters and cleared state.
   virtual std::unique_ptr<BanditPolicy> Clone() const = 0;

@@ -36,7 +36,7 @@ RunResult RunFixedSampleBaseline(const ZombieEngine& engine,
   EngineOptions opts = FullScanOptions(engine.options());
   opts.stop.max_items = sample_size;
   // Rebuild the engine with the tightened budget, keeping its extraction
-  // path: a borrowed service (shared cache/prefetch) carries over, a
+  // path: a borrowed service (shared cache/store) carries over, a
   // pipeline-pointer engine is rebuilt over the same pipeline.
   if (engine.extraction_service() != nullptr) {
     ZombieEngine budgeted(&engine.corpus(), engine.extraction_service(),

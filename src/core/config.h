@@ -84,8 +84,8 @@ struct EngineOptions {
   /// only wall-clock time changes (featureeng/feature_cache.h).
   ///
   /// Only meaningful for engines built over a raw pipeline pointer: the
-  /// engine wraps (pipeline, feature_cache, RunSpec::prefetch) in a
-  /// per-run ExtractionService. Engines built over a borrowed
+  /// engine wraps (pipeline, feature_cache, feature_store) in a per-run
+  /// ExtractionService. Engines built over a borrowed
   /// ExtractionService — the session and experiment driver paths — carry
   /// their cache inside the service, and this field must stay null there
   /// (checked at engine construction).

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "core/convergence.h"
-#include "core/speculative_prefetcher.h"
 #include "data/corpus_source.h"
 #include "featureeng/feature_cache.h"
+#include "featureeng/persistent_feature_store.h"
 #include "index/grouped_corpus.h"
 #include "index/incremental_grouper.h"
 #include "ml/dataset.h"
@@ -131,18 +131,16 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
 
   // All featurization goes through the ExtractionService facade: either
   // the caller's shared service, or a transient per-run one wrapping
-  // (pipeline, EngineOptions::feature_cache, RunSpec::prefetch). The
-  // service's memoization and speculation are wall-clock-only (see its
-  // equivalence contract), so everything downstream — learner updates,
-  // rewards, the virtual clock — is byte-identical whether extraction is
-  // raw, cached, or prefetched.
+  // (pipeline, EngineOptions::feature_cache, EngineOptions::feature_store).
+  // The service's memoization is wall-clock-only (see its equivalence
+  // contract), so everything downstream — learner updates, rewards, the
+  // virtual clock — is byte-identical whether extraction is raw, cached,
+  // or served from the store.
   ExtractionService* service = service_;
-  std::unique_ptr<ExtractionService> run_service;
+  std::optional<ExtractionService> run_service;
   if (service == nullptr) {
-    run_service = std::make_unique<ExtractionService>(
-        pipeline_, options_.feature_cache, spec.prefetch, tracer,
-        options_.feature_store);
-    service = run_service.get();
+    service = &run_service.emplace(pipeline_, options_.feature_cache,
+                                   options_.feature_store);
   }
   // Online feature pruning. Disabled (the default) constructs nothing and
   // every hook below is null-guarded, so the prune-off run is byte-for-byte
@@ -184,11 +182,6 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   // grouped/stats.
   const size_t num_groups = grouped.num_groups();
   ZCHECK_GE(num_groups, 1u);
-
-  // Speculative prefetch: overlaps each holdout evaluation window with
-  // background extraction of the top-ranked arms' upcoming documents.
-  // No-op unless the service has prefetch workers.
-  SpeculativePrefetcher prefetcher(service, &grouped, tracer);
 
   // --- Holdout: sample, exclude from training, featurize up front. --------
   // Streaming: sampled from the offline base prefix only — unarrived
@@ -576,14 +569,9 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     // --- Cadence: evaluate and apply stop rules. ---------------------------
     if (items % options_.eval_every == 0) {
       // Ingestion first: arrivals whose virtual timestamp has passed join
-      // the index before speculation ranks arms and before the holdout
-      // scores — the new arms are visible to everything downstream of
-      // this boundary.
+      // the index before the holdout scores — the new arms are visible to
+      // everything downstream of this boundary.
       ingest(items);
-      // Speculate right before the evaluation so the prefetch workers run
-      // while this thread is busy scoring the holdout. Candidate ranking
-      // draws no randomness and mutates nothing the run observes.
-      prefetcher.SpeculateBeforeEvaluation(*policy, stats);
       // Prune freeze happens at most once, exactly here — a holdout-eval
       // boundary — so the holdout kernels below already run compacted. The
       // freeze decision reads only items + learner state (deterministic);
@@ -635,12 +623,6 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     }
   }
 
-  // Loop exit: pending speculation is now useless for this run. A per-run
-  // service is cancelled outright; a borrowed (shared) one is left alone —
-  // other runs may have speculation in flight, and its owner cancels at
-  // teardown.
-  if (run_service != nullptr) run_service->CancelPrefetch();
-
   // Final evaluation if the last item batch wasn't evaluated.
   if (result.curve.empty() ||
       result.curve.point(result.curve.size() - 1).items_processed != items) {
@@ -674,9 +656,9 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
       dlog->AppendIngestEvents(run_label, std::move(ingest_events));
     }
   }
-  // Delta-tracked, so repeated exports from runs sharing a service (and a
-  // metrics registry) accumulate without double-counting.
-  service->ExportMetrics(metrics);
+  // Gauges: repeated exports from runs sharing a store overwrite, never
+  // double-count.
+  if (service->store() != nullptr) service->store()->ExportMetrics(metrics);
   return result;
 }
 

@@ -40,22 +40,20 @@ namespace zombie {
 ///
 /// A run is fully deterministic given (corpus, grouping, options.seed, and
 /// the arrival schedule when streaming); wall-clock accelerations (feature
-/// cache, speculative prefetch, parallel holdout evaluation) never change
-/// RunResult or the decision log.
+/// cache, persistent store) never change RunResult or the decision log.
 class ZombieEngine {
  public:
   /// Both pointers are borrowed and must outlive the engine. Extraction
-  /// goes through a per-run ExtractionService built over `pipeline` and
-  /// EngineOptions::feature_cache (if any), honoring RunSpec::prefetch.
+  /// goes through a per-run ExtractionService built over `pipeline`,
+  /// EngineOptions::feature_cache and EngineOptions::feature_store.
   ZombieEngine(const Corpus* corpus, const FeaturePipeline* pipeline,
                EngineOptions options = {});
 
-  /// Extraction routed through a caller-owned service (shared cache policy
-  /// and speculation budget across runs — the session and experiment
-  /// driver use this). `service` is borrowed and must outlive the engine;
-  /// its prefetch configuration applies to every run, and
-  /// RunSpec::prefetch is ignored. EngineOptions::feature_cache must be
-  /// null here — the cache, if any, belongs to the service.
+  /// Extraction routed through a caller-owned service (a cache and store
+  /// shared across runs — the session and experiment driver use this).
+  /// `service` is borrowed and must outlive the engine.
+  /// EngineOptions::feature_cache and feature_store must be null here —
+  /// the tiers, if any, belong to the service.
   ZombieEngine(const Corpus* corpus, ExtractionService* service,
                EngineOptions options = {});
 

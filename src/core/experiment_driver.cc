@@ -85,10 +85,8 @@ ExperimentDriver::ExperimentDriver(const Corpus* corpus,
   ZCHECK((options_.stream == nullptr) ==
          (options_.incremental_grouper == nullptr))
       << "streaming needs both the source and the incremental grouper";
-  ObsContext* obs = options_.engine.obs;
-  service_ = std::make_unique<ExtractionService>(
-      pipeline_, options_.cache, options_.prefetch,
-      obs != nullptr ? obs->trace() : nullptr, options_.store);
+  service_ = std::make_unique<ExtractionService>(pipeline_, options_.cache,
+                                                 options_.store);
 }
 
 StatusOr<std::vector<TrialResult>> ExperimentDriver::RunGrid(

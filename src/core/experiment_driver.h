@@ -96,10 +96,6 @@ struct ExperimentDriverOptions {
   /// it in one shared ExtractionService that every trial engine borrows,
   /// so `engine.feature_cache` must stay null.
   FeatureCache* cache = nullptr;
-  /// Speculative prefetch shared by every trial (wall-clock-only; see
-  /// ExtractionService). Requires `cache` — speculation without a cache
-  /// has nowhere to put results and is silently disabled.
-  PrefetchOptions prefetch;
   /// Optional persistent second cache tier shared by every trial (borrowed,
   /// thread-safe; must outlive the driver). Wall-clock-only, like `cache`;
   /// `engine.feature_store` must stay null.
@@ -122,8 +118,7 @@ class ExperimentDriver {
  public:
   /// Both pointers are borrowed and must outlive the driver. The driver
   /// owns one ExtractionService over (pipeline, options.cache,
-  /// options.prefetch) shared by all trials; outstanding speculation is
-  /// cancelled and drained when the driver is destroyed.
+  /// options.store) shared by all trials.
   ExperimentDriver(const Corpus* corpus, const FeaturePipeline* pipeline,
                    ExperimentDriverOptions options = {});
 

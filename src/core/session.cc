@@ -7,7 +7,6 @@
 #include "core/engine.h"
 #include "data/corpus_source.h"
 #include "index/incremental_grouper.h"
-#include "obs/obs.h"
 #include "util/clock.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -38,7 +37,7 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
                          const RewardFunction& reward,
                          EngineOptions engine_options,
                          bool warm_start_bandit, FeatureCache* cache,
-                         PrefetchOptions prefetch,
+                         PrefetchOptions /*unused*/,
                          PersistentFeatureStore* store,
                          const SessionStreamConfig* stream) {
   ZCHECK(engine_options.feature_cache == nullptr)
@@ -77,12 +76,8 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
     opts.seed = HashCombine(engine_options.seed, r);
     // One service per revision (the fingerprint is per-pipeline); the
     // shared cache carries memoized extractions across revisions and
-    // sessions. The service drains its prefetch workers before the
-    // pipeline goes out of scope.
-    ExtractionService service(
-        &pipeline, cache, prefetch,
-        engine_options.obs != nullptr ? engine_options.obs->trace() : nullptr,
-        store);
+    // sessions.
+    ExtractionService service(&pipeline, cache, store);
 
     RevisionOutcome outcome;
     outcome.revision_name = script.name(r);

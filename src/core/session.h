@@ -20,6 +20,11 @@ namespace zombie {
 class ScheduledCorpusSource;
 class IncrementalGrouper;
 
+/// An empty tag, read by nothing. It exists only because perfbench's
+/// session workload (perfbench/src/workloads.cc) passes `PrefetchOptions{}`
+/// positionally to RunSession; a change to the benchmark can drop both.
+struct PrefetchOptions {};
+
 /// How each revision of the session evaluates its feature code.
 enum class SessionMode {
   /// The status quo the paper argues against: every revision featurizes the
@@ -74,12 +79,11 @@ struct SessionResult {
 /// numbers are unchanged by the cache; only wall-clock time shrinks.
 ///
 /// Ownership: the session routes each revision through its own
-/// ExtractionService built over (revision pipeline, cache, `prefetch`,
-/// `store`), so EngineOptions::feature_cache and feature_store must be null
-/// here — pass both via the parameters and they outlive every service
-/// built on them. `prefetch` enables speculative prefetch extraction per
-/// revision; `store` attaches a persistent second cache tier that carries
-/// extractions across *processes* and restarts (both wall-clock-only; see
+/// ExtractionService built over (revision pipeline, cache, `store`), so
+/// EngineOptions::feature_cache and feature_store must be null here — pass
+/// both via the parameters and they outlive every service built on them.
+/// `store` attaches a persistent second cache tier that carries
+/// extractions across *processes* and restarts (wall-clock-only; see
 /// ExtractionService). Each revision hits the store under its own pipeline
 /// fingerprint, so a warm store skips re-extraction for exactly the
 /// revisions whose feature code is unchanged.
@@ -103,7 +107,7 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
                          EngineOptions engine_options,
                          bool warm_start_bandit = false,
                          FeatureCache* cache = nullptr,
-                         PrefetchOptions prefetch = {},
+                         PrefetchOptions /*unused*/ = {},
                          PersistentFeatureStore* store = nullptr,
                          const SessionStreamConfig* stream = nullptr);
 

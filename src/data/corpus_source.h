@@ -63,7 +63,7 @@ struct ArrivalScheduleOptions {
 ///
 /// Pre-materializing the whole corpus — instead of mutating a Corpus
 /// mid-run — is what keeps streaming deterministic and thread-safe for
-/// free: prefetch workers hold `const Corpus&` across the run, document
+/// free: concurrent trials hold `const Corpus&` across the run, document
 /// views never invalidate, and the engine's only streaming state is a
 /// cursor over the (immutable) schedule. The source itself is therefore
 /// const through an entire run and safely shared across concurrent trials.

@@ -34,34 +34,6 @@ std::shared_ptr<const FeatureCache::Entry> FeatureCache::Lookup(
   return nullptr;
 }
 
-std::shared_ptr<const FeatureCache::Entry> FeatureCache::LookupForExtraction(
-    uint64_t pipeline_fingerprint, uint32_t doc_id,
-    bool* speculative_first_touch) {
-  *speculative_first_touch = false;
-  uint64_t now = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    ReaderMutexLock lock(&mu_);
-    auto it = map_.find(Key{pipeline_fingerprint, doc_id});
-    if (it != map_.end()) {
-      it->second->last_used.store(now, std::memory_order_relaxed);
-      // Promote a speculative entry on first touch. exchange() makes the
-      // promotion race-free: exactly one caller observes true.
-      if (it->second->speculative.exchange(false,
-                                           std::memory_order_acq_rel)) {
-        *speculative_first_touch = true;
-        // As-if-no-prefetch accounting: without prefetch this lookup would
-        // have missed, so count it as one.
-        misses_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return it->second->entry;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
 void FeatureCache::Insert(uint64_t pipeline_fingerprint, uint32_t doc_id,
                           Entry entry) {
   uint64_t now = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -80,42 +52,6 @@ void FeatureCache::Insert(uint64_t pipeline_fingerprint, uint32_t doc_id,
   if (map_.size() > options_.capacity) EvictLocked();
 }
 
-bool FeatureCache::InsertSpeculative(uint64_t pipeline_fingerprint,
-                                     uint32_t doc_id, Entry entry) {
-  uint64_t now = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto slot = std::make_unique<Slot>(
-      std::make_shared<const Entry>(std::move(entry)), now,
-      /*spec=*/true);
-  WriterMutexLock lock(&mu_);
-  // Speculation never evicts: a full cache simply rejects the insert, so
-  // background prefetch cannot push out entries a real Insert committed —
-  // evicting them would change future hit/miss outcomes and break the
-  // prefetch-on/off byte-identity contract.
-  if (map_.size() >= options_.capacity &&
-      map_.find(Key{pipeline_fingerprint, doc_id}) == map_.end()) {
-    return false;
-  }
-  auto [it, inserted] =
-      map_.try_emplace(Key{pipeline_fingerprint, doc_id}, nullptr);
-  if (!inserted) {
-    // Keep the existing entry untouched: in particular never downgrade an
-    // engine-inserted (non-speculative) entry back to speculative, which
-    // would turn a real future hit into a logged miss. Recency is
-    // deliberately not refreshed — speculation must not extend lifetimes
-    // of entries it didn't create.
-    return false;
-  }
-  it->second = std::move(slot);
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool FeatureCache::Contains(uint64_t pipeline_fingerprint,
-                            uint32_t doc_id) const {
-  ReaderMutexLock lock(&mu_);
-  return map_.find(Key{pipeline_fingerprint, doc_id}) != map_.end();
-}
-
 void FeatureCache::EvictLocked() {
   // Batch eviction: drop the stalest entries down to 7/8 of capacity, so
   // the O(n) recency scan amortizes over ~capacity/8 subsequent inserts.
@@ -126,9 +62,8 @@ void FeatureCache::EvictLocked() {
   recency.reserve(map_.size());
   // Iteration order is hash-seed-dependent, but only the *set* of stalest
   // entries matters here and nth_element orders by recency tick; eviction
-  // affects wall-clock hit rates, never virtual-time results (an
-  // overcommitted cache already voids DecisionLog replay — see the
-  // ExtractionService equivalence contract).
+  // affects wall-clock hit rates and logged cache outcomes, never
+  // virtual-time results.
   for (const auto& [key, slot] : map_) {  // zombie-lint: allow(no-unordered-iteration)
     recency.emplace_back(slot->last_used.load(std::memory_order_relaxed),
                          key);

@@ -77,40 +77,11 @@ class FeatureCache {
   std::shared_ptr<const Entry> Lookup(uint64_t pipeline_fingerprint,
                                       uint32_t doc_id) ZOMBIE_EXCLUDES(mu_);
 
-  /// Lookup variant for the extraction hot path (ExtractionService). It
-  /// behaves exactly like Lookup() except for entries planted by
-  /// InsertSpeculative(): the *first* touch of a speculative entry promotes
-  /// it to a regular entry, sets `*speculative_first_touch`, and is counted
-  /// as a miss — because without prefetch this lookup *would* have missed.
-  /// That as-if accounting keeps hit/miss counts, DecisionLog cache
-  /// outcomes, and RunResults byte-identical with prefetch on or off; only
-  /// the redundant wall-clock re-extraction is skipped. (Insert/entry
-  /// counts do reflect speculative inserts.) Later touches are ordinary
-  /// hits, matching the prefetch-off world where the first (miss) touch
-  /// would have Insert()ed the entry.
-  std::shared_ptr<const Entry> LookupForExtraction(
-      uint64_t pipeline_fingerprint, uint32_t doc_id,
-      bool* speculative_first_touch) ZOMBIE_EXCLUDES(mu_);
-
   /// Inserts (or keeps the existing entry for) the key; may evict. The
   /// first writer wins on a duplicate key — values for a given key are
   /// identical by the determinism contract, so which copy survives is
   /// irrelevant.
   void Insert(uint64_t pipeline_fingerprint, uint32_t doc_id, Entry entry)
-      ZOMBIE_EXCLUDES(mu_);
-
-  /// Insert performed by a prefetch worker: the entry is marked speculative
-  /// so that LookupForExtraction can account for its first touch as a miss
-  /// (see above). An existing entry — speculative or not — is kept as-is
-  /// (never downgraded to speculative). Returns true when a new speculative
-  /// entry was actually created.
-  bool InsertSpeculative(uint64_t pipeline_fingerprint, uint32_t doc_id,
-                         Entry entry) ZOMBIE_EXCLUDES(mu_);
-
-  /// True when the key is present (speculative or not). Touches no counters
-  /// and no recency stamp — used by prefetchers to skip known work without
-  /// perturbing the hit/miss accounting.
-  bool Contains(uint64_t pipeline_fingerprint, uint32_t doc_id) const
       ZOMBIE_EXCLUDES(mu_);
 
   /// Drops every entry (counts as evictions).
@@ -133,13 +104,10 @@ class FeatureCache {
     /// Tick of the last lookup/insert touching this slot; mutable under the
     /// shared lock via the atomic.
     std::atomic<uint64_t> last_used{0};
-    /// Set by InsertSpeculative; cleared (promoted) by the first
-    /// LookupForExtraction touch via atomic exchange under the shared lock.
-    std::atomic<bool> speculative{false};
 
     Slot() = default;
-    Slot(std::shared_ptr<const Entry> e, uint64_t tick, bool spec = false)
-        : entry(std::move(e)), last_used(tick), speculative(spec) {}
+    Slot(std::shared_ptr<const Entry> e, uint64_t tick)
+        : entry(std::move(e)), last_used(tick) {}
   };
 
   struct Key {

@@ -94,8 +94,8 @@ struct PersistentFeatureStoreStats {
 /// against their own mapping). A reader's view is the file at its open
 /// plus any records the writer publishes inside that mapped range.
 ///
-/// Accounting contract (the same as-if discipline as FeatureCache and
-/// prefetch): the store only ever short-circuits *wall-clock* extraction
+/// Accounting contract (the same as-if discipline as FeatureCache): the
+/// store only ever short-circuits *wall-clock* extraction
 /// work. ExtractionService reports a store hit as a cache *miss* — what
 /// the caller would have seen with no store — and the engine charges the
 /// virtual clock the full extraction cost it computes from the pipeline,

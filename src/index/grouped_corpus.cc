@@ -112,28 +112,6 @@ bool GroupedCorpus::GroupExhausted(size_t g) {
   return true;
 }
 
-void GroupedCorpus::PeekUnprocessed(size_t g, size_t max_items,
-                                    std::vector<uint32_t>* out) const {
-  ZCHECK_LT(g, groups_.size());
-  out->clear();
-  int32_t shard = cursors_[g].shard;
-  uint32_t offset = cursors_[g].offset;
-  if (shard < 0) {
-    shard = groups_[g].head;
-    offset = 0;
-  }
-  while (shard >= 0 && out->size() < max_items) {
-    size_t s = static_cast<size_t>(shard);
-    for (; offset < shard_len_[s] && out->size() < max_items; ++offset) {
-      uint32_t doc = arena_[s * kShardCapacity + offset];
-      if (!processed_[doc]) out->push_back(doc);
-    }
-    if (offset < shard_len_[s]) break;
-    shard = shard_next_[s];
-    offset = 0;
-  }
-}
-
 bool GroupedCorpus::AllExhausted() {
   for (size_t g = 0; g < groups_.size(); ++g) {
     if (!GroupExhausted(g)) return false;

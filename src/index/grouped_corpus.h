@@ -72,15 +72,6 @@ class GroupedCorpus {
   /// (skipping already-processed entries) but never consumes an item.
   bool GroupExhausted(size_t g);
 
-  /// Fills `out` with up to `max_items` upcoming unprocessed document
-  /// indices of group g, in the order NextFromGroup would pop them.
-  /// Purely observational: no cursor movement, no processed marks — the
-  /// speculation hook for the prefetcher. Const, so safe to call from the
-  /// engine thread while prefetch workers run (they never touch this
-  /// object, only the ids copied into `out`).
-  void PeekUnprocessed(size_t g, size_t max_items,
-                       std::vector<uint32_t>* out) const;
-
   /// True when no group can produce another item.
   bool AllExhausted();
 

@@ -3,9 +3,9 @@
 
 // Clang thread-safety annotations + capability-annotated lock primitives.
 //
-// Every optimization since PR 2 (feature cache, thread-pooled driver,
-// parallel holdout, speculative prefetch) rests on a byte-identical-results
-// invariant whose enforcement used to be purely dynamic (tests, TSan). This
+// Every wall-clock optimization (feature cache, persistent store,
+// thread-pooled driver) rests on a byte-identical-results invariant whose
+// enforcement used to be purely dynamic (tests, TSan). This
 // header makes the locking discipline a *compile-time* artifact: members are
 // declared ZOMBIE_GUARDED_BY their mutex, locking helpers carry
 // ZOMBIE_ACQUIRE / ZOMBIE_RELEASE, and functions that expect a lock held (or

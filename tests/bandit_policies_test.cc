@@ -159,66 +159,6 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, EveryPolicyTest,
                            return name;
                          });
 
-// ---------------------------------------------------------------------------
-// RankArms: the speculation hook must be a pure, deterministic view of
-// ScoreArms (score descending, index ascending on ties, active arms only).
-// ---------------------------------------------------------------------------
-
-TEST(RankArmsTest, OrdersByScoreThenIndexAndHonorsMaxArms) {
-  Ucb1Policy policy;
-  policy.Reset(4);
-  ArmStats stats(4);
-  // Give every arm equal pulls so the UCB bonus ties; means decide.
-  for (size_t a = 0; a < 4; ++a) {
-    stats.Record(a, a == 2 ? 1.0 : 0.0);
-    stats.Record(a, a == 1 || a == 2 ? 1.0 : 0.0);
-  }
-  std::vector<size_t> ranked;
-  policy.RankArms(stats, 4, &ranked);
-  ASSERT_EQ(ranked.size(), 4u);
-  EXPECT_EQ(ranked[0], 2u);  // mean 1.0
-  EXPECT_EQ(ranked[1], 1u);  // mean 0.5
-  // Arms 0 and 3 tie at mean 0: index-ascending tiebreak.
-  EXPECT_EQ(ranked[2], 0u);
-  EXPECT_EQ(ranked[3], 3u);
-
-  policy.RankArms(stats, 2, &ranked);
-  ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0], 2u);
-  EXPECT_EQ(ranked[1], 1u);
-
-  policy.RankArms(stats, 0, &ranked);
-  EXPECT_TRUE(ranked.empty());
-}
-
-TEST(RankArmsTest, SkipsDeactivatedArms) {
-  Ucb1Policy policy;
-  policy.Reset(3);
-  ArmStats stats(3);
-  for (size_t a = 0; a < 3; ++a) stats.Record(a, 1.0);
-  stats.Deactivate(1);
-  std::vector<size_t> ranked;
-  policy.RankArms(stats, 3, &ranked);
-  ASSERT_EQ(ranked.size(), 2u);
-  for (size_t arm : ranked) EXPECT_NE(arm, 1u);
-}
-
-TEST(RankArmsTest, DeterministicForStochasticPolicies) {
-  // RankArms must not consume randomness: two calls on identical stats
-  // return identical rankings even for RNG-driven policies.
-  EpsilonGreedyPolicy policy;
-  policy.Reset(5);
-  ArmStats stats(5);
-  for (size_t a = 0; a < 5; ++a) {
-    stats.Record(a, a % 2 == 0 ? 1.0 : 0.0);
-  }
-  std::vector<size_t> first;
-  std::vector<size_t> second;
-  policy.RankArms(stats, 5, &first);
-  policy.RankArms(stats, 5, &second);
-  EXPECT_EQ(first, second);
-}
-
 TEST(RoundRobinTest, CyclesInOrder) {
   RoundRobinPolicy policy;
   ArmStats stats(3);

@@ -14,6 +14,10 @@
 // read an index evolution that earlier runs computed; plus one streaming
 // run each over the metadata and token incremental groupers, and the
 // SessionResult of a tiny streaming session and of a full-scan session.
+// Offline, every policy runs once under the label reward, and one run is
+// repeated over a shared FeatureCache (cold, then warm: the DecisionLog
+// pins the kMiss -> kHit cache outcomes) and over a PersistentFeatureStore
+// (cold, then warm).
 //
 // Updating the pins: a change that alters engine behaviour on purpose
 // prints the new digests in the failure message (`EngineGoldenTest.Matrix`
@@ -27,8 +31,8 @@
 // learning-curve point.
 
 #include <cinttypes>
+#include <cstdio>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -42,6 +46,8 @@
 #include "core/session.h"
 #include "core/task_factory.h"
 #include "data/corpus_source.h"
+#include "featureeng/feature_cache.h"
+#include "featureeng/persistent_feature_store.h"
 #include "featureeng/revision_script.h"
 #include "gtest/gtest.h"
 #include "index/incremental_grouper.h"
@@ -244,6 +250,35 @@ class EngineGoldenTest : public ::testing::Test {
     return out;
   }
 
+  GroupingResult OfflineGrouping() const {
+    IncrementalKMeansGrouper kmeans(GoldenKMeansOptions());
+    return kmeans.GroupBase(task_.corpus, task_.corpus.size());
+  }
+
+  // One naive-Bayes run of `kind` x reward over `grouping` under `opts`
+  // (which may attach a cache or store); streaming when `source` is set,
+  // with `prototype` the primed grouper that built `grouping`.
+  std::pair<uint64_t, uint64_t> RunPolicy(
+      EngineOptions opts, const GroupingResult& grouping, PolicyKind kind,
+      bool improvement, const ScheduledCorpusSource* source = nullptr,
+      const IncrementalGrouper* prototype = nullptr) const {
+    ObsContext obs;
+    opts.obs = &obs;
+    std::unique_ptr<BanditPolicy> policy = MakePolicy(kind);
+    NaiveBayesLearner learner;
+    LabelReward label;
+    ImprovementReward improvement_reward;
+    const RewardFunction& reward =
+        improvement ? static_cast<const RewardFunction&>(improvement_reward)
+                    : label;
+    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    RunSpec spec(grouping, *policy, learner, reward);
+    spec.stream = source;
+    spec.incremental_grouper = prototype;
+    RunResult r = engine.Run(spec);
+    return {Fnv1a(r.Fingerprint()), Fnv1a(obs.decisions()->ToJsonl())};
+  }
+
   Task task_;
 };
 
@@ -265,15 +300,122 @@ TEST_F(EngineGoldenTest, Matrix) {
   if (HasFailure()) ADD_FAILURE() << "current digests:\n" << table;
 }
 
-// Streaming rows, in run order: "<grouper>/<policy>/<reward>". The ikmeans
-// rows all run through one prototype, so their order is part of the pin.
-struct StreamCase {
+// A named run and its (fingerprint, DecisionLog) digests.
+struct NamedGolden {
   const char* name;
   uint64_t fingerprint_digest;
   uint64_t decisions_digest;
 };
 
-constexpr StreamCase kStreamGolden[] = {
+using Digests = std::pair<uint64_t, uint64_t>;
+using NamedDigests = std::vector<std::pair<std::string, Digests>>;
+
+// Checks `got` row by row against `golden`, and on a mismatch prints every
+// row as a paste-ready replacement table.
+template <size_t N>
+void ExpectRows(const NamedDigests& got, const NamedGolden (&golden)[N]) {
+  ASSERT_EQ(got.size(), N);
+  std::string table;
+  for (size_t i = 0; i < N; ++i) {
+    SCOPED_TRACE(got[i].first);
+    EXPECT_EQ(got[i].first, golden[i].name);
+    EXPECT_EQ(got[i].second.first, golden[i].fingerprint_digest);
+    EXPECT_EQ(got[i].second.second, golden[i].decisions_digest);
+    table += StrFormat("    {\"%s\", 0x%016" PRIx64 "ull,\n     0x%016" PRIx64
+                       "ull},\n",
+                       got[i].first.c_str(), got[i].second.first,
+                       got[i].second.second);
+  }
+  if (::testing::Test::HasFailure()) {
+    ADD_FAILURE() << "current digests:\n" << table;
+  }
+}
+
+constexpr PolicyKind kPolicies[] = {
+    PolicyKind::kRoundRobin, PolicyKind::kUniformRandom,
+    PolicyKind::kEpsilonGreedy, PolicyKind::kUcb1,
+    PolicyKind::kSlidingUcb, PolicyKind::kThompson,
+    PolicyKind::kExp3, PolicyKind::kSoftmax,
+};
+
+// Offline rows: "kmeans/<policy>/label" over the full-corpus k-means
+// grouping. The egreedy row is the "label/off/offline" matrix row.
+constexpr NamedGolden kOfflinePolicyGolden[] = {
+    {"kmeans/roundrobin/label", 0x7aca3d63ab821c59ull,
+     0x0400c6b5df1d25feull},
+    {"kmeans/random/label", 0x7bf177aa6fcbdd19ull,
+     0xf6dc25e782e41e9eull},
+    {"kmeans/egreedy/label", 0x4fad7860620f929cull,
+     0xa8bffe6576303111ull},
+    {"kmeans/ucb1/label", 0xbb3ca9e1bbce2a41ull,
+     0xd321aa93556b0a4bull},
+    {"kmeans/swucb/label", 0x6ca7a52e17bece2cull,
+     0x67c48f4232dbf953ull},
+    {"kmeans/thompson/label", 0x9ef8470066a075dbull,
+     0x337fc5cd0fc8d508ull},
+    {"kmeans/exp3/label", 0xf467dad37d9d409bull,
+     0x5ffea4a9d15cd596ull},
+    {"kmeans/softmax/label", 0xeec6a287e31db3ffull,
+     0x6bde78f475de0b62ull},
+};
+
+// One offline egreedy/label run repeated over shared extraction tiers, in
+// run order: a cache cold then warm, then a store cold then warm (each
+// store run behind a fresh cache).
+constexpr NamedGolden kTierGolden[] = {
+    {"cache/cold", 0x4fad7860620f929cull,
+     0xef9d5018da8cb2cfull},
+    {"cache/warm", 0x4fad7860620f929cull,
+     0x433fd0857332e16dull},
+    {"store/cold", 0x4fad7860620f929cull,
+     0xef9d5018da8cb2cfull},
+    {"store/warm", 0x4fad7860620f929cull,
+     0xef9d5018da8cb2cfull},
+};
+
+TEST_F(EngineGoldenTest, OfflinePolicies) {
+  const GroupingResult grouping = OfflineGrouping();
+  NamedDigests got;
+  for (PolicyKind kind : kPolicies) {
+    got.emplace_back(StrFormat("kmeans/%s/label", PolicyKindName(kind)),
+                     RunPolicy(GoldenEngineOptions(), grouping, kind, false));
+  }
+  ExpectRows(got, kOfflinePolicyGolden);
+}
+
+TEST_F(EngineGoldenTest, CacheAndStoreReplays) {
+  const GroupingResult grouping = OfflineGrouping();
+  NamedDigests got;
+  FeatureCache cache;
+  EngineOptions cached = GoldenEngineOptions();
+  cached.feature_cache = &cache;
+  for (const char* name : {"cache/cold", "cache/warm"}) {
+    got.emplace_back(name, RunPolicy(cached, grouping,
+                                     PolicyKind::kEpsilonGreedy, false));
+  }
+  const std::string path = testing::TempDir() + "/engine_golden.zfs";
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+  auto store = PersistentFeatureStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (const char* name : {"store/cold", "store/warm"}) {
+    // A fresh memory tier per run: the warm run's store hits report kMiss.
+    FeatureCache front;
+    EngineOptions stored = GoldenEngineOptions();
+    stored.feature_cache = &front;
+    stored.feature_store = store.value().get();
+    got.emplace_back(name, RunPolicy(stored, grouping,
+                                     PolicyKind::kEpsilonGreedy, false));
+  }
+  // Non-vacuity: the warm runs really were served by each tier.
+  EXPECT_GT(cache.Stats().hits, 0u);
+  EXPECT_GT(store.value()->Stats().hits, 0u);
+  ExpectRows(got, kTierGolden);
+}
+
+// Streaming rows, in run order: "<grouper>/<policy>/<reward>". The ikmeans
+// rows all run through one prototype, so their order is part of the pin.
+constexpr NamedGolden kStreamGolden[] = {
     {"ikmeans/roundrobin/label", 0xfcf1497a35a93192ull,
      0x8ad7619b8151b285ull},
     {"ikmeans/random/label", 0xe5e6775831ce99b1ull,
@@ -312,37 +454,15 @@ constexpr StreamCase kStreamGolden[] = {
      0xd0d1a4c9084ac828ull},
 };
 
-constexpr PolicyKind kPolicies[] = {
-    PolicyKind::kRoundRobin, PolicyKind::kUniformRandom,
-    PolicyKind::kEpsilonGreedy, PolicyKind::kUcb1,
-    PolicyKind::kSlidingUcb, PolicyKind::kThompson,
-    PolicyKind::kExp3, PolicyKind::kSoftmax,
-};
-
 class StreamGoldenTest : public EngineGoldenTest {
  protected:
   // One streaming run of `kind` x reward over a primed `prototype`.
-  std::pair<uint64_t, uint64_t> RunStream(const IncrementalGrouper& prototype,
-                                          const GroupingResult& grouping,
-                                          const ScheduledCorpusSource& source,
-                                          PolicyKind kind,
-                                          bool improvement) const {
-    EngineOptions opts = GoldenEngineOptions();
-    ObsContext obs;
-    opts.obs = &obs;
-    std::unique_ptr<BanditPolicy> policy = MakePolicy(kind);
-    NaiveBayesLearner learner;
-    LabelReward label;
-    ImprovementReward improvement_reward;
-    const RewardFunction& reward =
-        improvement ? static_cast<const RewardFunction&>(improvement_reward)
-                    : label;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
-    RunSpec spec(grouping, *policy, learner, reward);
-    spec.stream = &source;
-    spec.incremental_grouper = &prototype;
-    RunResult r = engine.Run(spec);
-    return {Fnv1a(r.Fingerprint()), Fnv1a(obs.decisions()->ToJsonl())};
+  Digests RunStream(const IncrementalGrouper& prototype,
+                    const GroupingResult& grouping,
+                    const ScheduledCorpusSource& source, PolicyKind kind,
+                    bool improvement) const {
+    return RunPolicy(GoldenEngineOptions(), grouping, kind, improvement,
+                     &source, &prototype);
   }
 };
 
@@ -358,7 +478,7 @@ TEST_F(StreamGoldenTest, PoliciesThroughOnePrototype) {
   const GroupingResult token_grouping =
       token.GroupBase(task_.corpus, kStreamBase);
 
-  std::vector<std::pair<std::string, std::pair<uint64_t, uint64_t>>> got;
+  NamedDigests got;
   for (bool improvement : {false, true}) {
     for (PolicyKind kind : kPolicies) {
       got.emplace_back(
@@ -374,19 +494,7 @@ TEST_F(StreamGoldenTest, PoliciesThroughOnePrototype) {
                    RunStream(token, token_grouping, source,
                              PolicyKind::kEpsilonGreedy, false));
 
-  ASSERT_EQ(got.size(), std::size(kStreamGolden));
-  std::string table;
-  for (size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(got[i].first);
-    EXPECT_EQ(got[i].first, kStreamGolden[i].name);
-    EXPECT_EQ(got[i].second.first, kStreamGolden[i].fingerprint_digest);
-    EXPECT_EQ(got[i].second.second, kStreamGolden[i].decisions_digest);
-    table += StrFormat("    {\"%s\", 0x%016" PRIx64 "ull,\n     0x%016" PRIx64
-                       "ull},\n",
-                       got[i].first.c_str(), got[i].second.first,
-                       got[i].second.second);
-  }
-  if (HasFailure()) ADD_FAILURE() << "current digests:\n" << table;
+  ExpectRows(got, kStreamGolden);
 }
 
 // Everything in a SessionResult except the index build's wall time.

@@ -2,8 +2,8 @@
 // tier, so RunResult and the DecisionLog JSONL stream must be
 // byte-identical with the store disabled, cold (first run populates it),
 // or warm (every extraction served from disk) — and across experiment
-// driver thread counts with a shared store. Same discipline as the
-// prefetch, holdout-parallelism, and obs inertness tests; the store stats
+// driver thread counts with a shared store. Same discipline as the cache
+// and obs inertness tests; the store stats
 // assertions keep the comparisons non-vacuous (the warm runs really did
 // hit the store).
 

@@ -116,90 +116,6 @@ TEST(FeatureCacheTest, HitsKeepSharedEntryAliveAcrossEviction) {
 }
 
 // ---------------------------------------------------------------------------
-// Speculative entries (prefetch support; see ExtractionService)
-// ---------------------------------------------------------------------------
-
-TEST(FeatureCacheSpeculativeTest, FirstTouchPromotesAndCountsAsMiss) {
-  FeatureCache cache;
-  EXPECT_TRUE(cache.InsertSpeculative(1, 7, MakeEntry(3)));
-  EXPECT_TRUE(cache.Contains(1, 7));
-
-  bool first_touch = false;
-  auto got = cache.LookupForExtraction(1, 7, &first_touch);
-  ASSERT_NE(got, nullptr);
-  EXPECT_TRUE(first_touch);
-  EXPECT_EQ(got->features, Vec(3, 1.0));
-  // As-if-no-prefetch accounting: the first touch is the miss the caller
-  // would have seen without speculation.
-  FeatureCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-
-  // Promoted: later touches are ordinary hits.
-  first_touch = true;
-  got = cache.LookupForExtraction(1, 7, &first_touch);
-  ASSERT_NE(got, nullptr);
-  EXPECT_FALSE(first_touch);
-  stats = cache.Stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-}
-
-TEST(FeatureCacheSpeculativeTest, LookupForExtractionOnRegularEntryIsAHit) {
-  FeatureCache cache;
-  cache.Insert(1, 7, MakeEntry(3));
-  bool first_touch = true;
-  auto got = cache.LookupForExtraction(1, 7, &first_touch);
-  ASSERT_NE(got, nullptr);
-  EXPECT_FALSE(first_touch);
-  EXPECT_EQ(cache.Stats().hits, 1u);
-}
-
-TEST(FeatureCacheSpeculativeTest, AbsentKeyIsAMissWithoutFirstTouch) {
-  FeatureCache cache;
-  bool first_touch = true;
-  EXPECT_EQ(cache.LookupForExtraction(1, 7, &first_touch), nullptr);
-  EXPECT_FALSE(first_touch);
-  EXPECT_EQ(cache.Stats().misses, 1u);
-}
-
-TEST(FeatureCacheSpeculativeTest, NeverDowngradesAnExistingEntry) {
-  FeatureCache cache;
-  cache.Insert(1, 7, MakeEntry(3));
-  EXPECT_FALSE(cache.InsertSpeculative(1, 7, MakeEntry(9)));
-  bool first_touch = true;
-  auto got = cache.LookupForExtraction(1, 7, &first_touch);
-  ASSERT_NE(got, nullptr);
-  EXPECT_FALSE(first_touch);          // still a committed entry
-  EXPECT_EQ(got->features, Vec(3, 1.0));  // first writer won
-}
-
-TEST(FeatureCacheSpeculativeTest, RefusedAtCapacityAndNeverEvicts) {
-  FeatureCacheOptions opts;
-  opts.capacity = 16;
-  FeatureCache cache(opts);
-  for (uint32_t i = 0; i < 16; ++i) cache.Insert(1, i, MakeEntry(i));
-  // Speculation must not displace committed entries: a full cache rejects
-  // speculative inserts instead of evicting.
-  EXPECT_FALSE(cache.InsertSpeculative(1, 100, MakeEntry(100)));
-  FeatureCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 16u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_FALSE(cache.Contains(1, 100));
-  for (uint32_t i = 0; i < 16; ++i) EXPECT_TRUE(cache.Contains(1, i));
-}
-
-TEST(FeatureCacheSpeculativeTest, ContainsTouchesNoCounters) {
-  FeatureCache cache;
-  cache.Insert(1, 7, MakeEntry(3));
-  EXPECT_TRUE(cache.Contains(1, 7));
-  EXPECT_FALSE(cache.Contains(1, 8));
-  FeatureCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Pipeline fingerprints
 // ---------------------------------------------------------------------------
 

@@ -43,49 +43,6 @@ TEST(GroupedCorpusTest, DrainsEveryItemExactlyOnce) {
   EXPECT_EQ(gc.num_processed(), 100u);
 }
 
-TEST(GroupedCorpusTest, PeekUnprocessedMatchesNextFromGroupOrder) {
-  Corpus corpus = TestCorpus(40);
-  GroupedCorpus gc(&corpus, TwoGroups(40), 9);
-  std::vector<uint32_t> peeked;
-  gc.PeekUnprocessed(0, 5, &peeked);
-  ASSERT_EQ(peeked.size(), 5u);
-  // Purely observational: peeking moved no cursor and marked nothing.
-  EXPECT_EQ(gc.num_processed(), 0u);
-  for (uint32_t id : peeked) {
-    auto next = gc.NextFromGroup(0);
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(*next, id);
-  }
-}
-
-TEST(GroupedCorpusTest, PeekUnprocessedSkipsProcessedItems) {
-  Corpus corpus = TestCorpus(40);
-  GroupedCorpus gc(&corpus, TwoGroups(40), 10);
-  std::vector<uint32_t> peeked;
-  gc.PeekUnprocessed(0, 3, &peeked);
-  ASSERT_EQ(peeked.size(), 3u);
-  // Consume the first upcoming item through the *other* group's processed
-  // set: the peek must now start at the second.
-  gc.MarkProcessed(peeked[0]);
-  std::vector<uint32_t> repeeked;
-  gc.PeekUnprocessed(0, 2, &repeeked);
-  ASSERT_EQ(repeeked.size(), 2u);
-  EXPECT_EQ(repeeked[0], peeked[1]);
-  EXPECT_EQ(repeeked[1], peeked[2]);
-}
-
-TEST(GroupedCorpusTest, PeekUnprocessedOnExhaustedGroupIsEmpty) {
-  Corpus corpus = TestCorpus(10);
-  GroupingResult g;
-  g.groups = {{0, 1, 2}, {3, 4, 5, 6, 7, 8, 9}};
-  GroupedCorpus gc(&corpus, std::move(g), 11);
-  while (gc.NextFromGroup(0).has_value()) {
-  }
-  std::vector<uint32_t> peeked = {99};
-  gc.PeekUnprocessed(0, 4, &peeked);
-  EXPECT_TRUE(peeked.empty());
-}
-
 TEST(GroupedCorpusTest, OverlappingGroupsNeverRepeatItems) {
   Corpus corpus = TestCorpus(50);
   GroupingResult g;

@@ -6,8 +6,7 @@
 //                       --grouper=kmeans --groups=32 --policy=egreedy
 //                       --reward=label --learner=nb [--baseline] [--csv=out.csv]
 //                       [--trials=N] [--threads=N]
-//                       [--cache] [--prefetch-threads=N] [--prefetch-arms=N]
-//                       [--prune=off|conservative|aggressive]
+//                       [--cache] [--prune=off|conservative|aggressive]
 //                       [--stream=F] [--ingest-rate=R]
 //                       [--stream-order=corpus|shuffled|domain]
 //                       [--stream-seed=N]
@@ -16,16 +15,16 @@
 //                       [--decisions-out=decisions.jsonl]
 //                       [--fingerprint-out=fp.txt]
 //   zombie_cli session  --task=webcat --docs=12000 [--warm] [--cache]
-//                       [--prefetch-threads=N] [--prefetch-arms=N]
 //                       [--prune=off|conservative|aggressive]
 //                       [--store-path=feat.zfs]
 //                       [--trace-out=...] [--metrics-out=...]
 //                       [--decisions-out=...]
 //   zombie_cli simd-level [--print=active|detected]
 //
-// Flags are --key=value; unknown flags fail loudly. Numeric flags must
-// parse whole and lie in their range (kNumericFlags), checked before
-// anything is built: a bad value exits 1 with a message. When --corpus is
+// Flags are --key=value; unknown flags and unknown values of the enum
+// flags (--prune, --stream-order, ...) exit 1 with a message. Numeric
+// flags must parse whole and lie in their range (kNumericFlags), checked
+// before anything is built. When --corpus is
 // given it is loaded from disk, otherwise --task/--docs/--seed generate
 // one.
 // The three --*-out flags enable the matching observability sink for the
@@ -138,8 +137,6 @@ constexpr NumericFlag kNumericFlags[] = {
     {"holdout", true, 1, 1e7, false},
     {"eval_every", true, 1, 1e7, false},
     {"max_items", true, 1, kInt64Max, false},
-    {"prefetch-threads", true, 0, 64, false},
-    {"prefetch-arms", true, 1, 512, false},
     {"trials", true, 1, 10000, false},
     // 0 picks the hardware concurrency.
     {"threads", true, 0, 256, false},
@@ -258,6 +255,12 @@ class Flags {
   mutable std::set<std::string> consumed_;
 };
 
+/// Reports `st` on stderr; returns the exit code for a bad input.
+int ReportError(const Status& st) {
+  std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return 1;
+}
+
 // ---------------------------------------------------------------------------
 // Component construction from flag values
 // ---------------------------------------------------------------------------
@@ -331,18 +334,12 @@ std::unique_ptr<IncrementalGrouper> MakeIncrementalGrouperFromFlags(
   return nullptr;
 }
 
-/// --stream-order parse; unknown values are reported and fall back to the
-/// corpus order (the prune/prefetch flag idiom).
-ArrivalOrder ParseArrivalOrder(const std::string& name) {
+StatusOr<ArrivalOrder> ParseArrivalOrder(const std::string& name) {
+  if (name == "corpus") return ArrivalOrder::kCorpus;
   if (name == "shuffled") return ArrivalOrder::kShuffled;
   if (name == "domain") return ArrivalOrder::kDomainGrouped;
-  if (name != "corpus") {
-    std::fprintf(stderr,
-                 "unknown --stream-order '%s' (want corpus|shuffled|domain); "
-                 "using corpus\n",
-                 name.c_str());
-  }
-  return ArrivalOrder::kCorpus;
+  return Status::InvalidArgument("unknown --stream-order '" + name +
+                                 "' (want corpus|shuffled|domain)");
 }
 
 StatusOr<PolicyKind> ParsePolicyKindFromFlags(const Flags& flags) {
@@ -380,7 +377,10 @@ std::unique_ptr<Learner> MakeLearnerFromFlags(const Flags& flags) {
   return nullptr;
 }
 
-EngineOptions MakeEngineOptionsFromFlags(const Flags& flags) {
+/// Engine options from the flags, validated (EngineOptions::Validate), so
+/// flag combinations the engine would reject (a --holdout below the probe
+/// size) exit 1 before the corpus is built.
+StatusOr<EngineOptions> MakeEngineOptionsFromFlags(const Flags& flags) {
   EngineOptions opts;
   opts.seed = static_cast<uint64_t>(flags.GetInt("run_seed", 1));
   opts.holdout_size = static_cast<size_t>(flags.GetInt("holdout", 400));
@@ -388,38 +388,18 @@ EngineOptions MakeEngineOptionsFromFlags(const Flags& flags) {
   opts.tune_threshold = flags.GetBool("tune_threshold");
   int64_t budget = flags.GetInt("max_items", -1);
   if (budget > 0) opts.stop.max_items = static_cast<size_t>(budget);
-  // Online feature pruning preset (ml/feature_pruner.h). Unknown values
-  // are reported and ignored, matching the prefetch-flag idiom.
+  // Online feature pruning preset (ml/feature_pruner.h).
   std::string prune = flags.GetString("prune", "off");
   if (prune == "conservative") {
     opts.pruning = ConservativePruning();
   } else if (prune == "aggressive") {
     opts.pruning = AggressivePruning();
   } else if (prune != "off") {
-    std::fprintf(stderr,
-                 "unknown --prune preset '%s' "
-                 "(want off|conservative|aggressive); pruning stays off\n",
-                 prune.c_str());
+    return Status::InvalidArgument("unknown --prune preset '" + prune +
+                                   "' (want off|conservative|aggressive)");
   }
+  ZOMBIE_RETURN_IF_ERROR(opts.Validate());
   return opts;
-}
-
-/// Speculative prefetch knobs (wall-clock-only; featureeng/
-/// extraction_service.h). Prefetch needs the feature cache to store into,
-/// so --prefetch-threads without --cache is reported and disabled.
-PrefetchOptions MakePrefetchOptionsFromFlags(const Flags& flags,
-                                             bool use_cache) {
-  PrefetchOptions prefetch;
-  int64_t threads = flags.GetInt("prefetch-threads", 0);
-  int64_t arms = flags.GetInt("prefetch-arms", 4);
-  if (threads > 0) prefetch.threads = static_cast<size_t>(threads);
-  if (arms > 0) prefetch.max_arms = static_cast<size_t>(arms);
-  if (prefetch.threads > 0 && !use_cache) {
-    std::fprintf(stderr,
-                 "--prefetch-threads requires --cache; prefetch disabled\n");
-    prefetch.threads = 0;
-  }
-  return prefetch;
 }
 
 /// Opens the persistent feature store named by `path` (--store-path).
@@ -531,15 +511,13 @@ int CmdGenerate(const Flags& flags) {
     return 1;
   }
   std::string out = flags.GetString("out", "corpus.zmbc");
-  Task task = MakeTask(kind.value(),
-                       static_cast<size_t>(flags.GetInt("docs", 12000)),
-                       static_cast<uint64_t>(flags.GetInt("seed", 42)));
-  ZCHECK_OK(flags.CheckAllConsumed());
-  Status st = SaveCorpus(task.corpus, out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
+  const size_t docs = static_cast<size_t>(flags.GetInt("docs", 12000));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  Status st = flags.CheckAllConsumed();
+  if (!st.ok()) return ReportError(st);
+  Task task = MakeTask(kind.value(), docs, seed);
+  st = SaveCorpus(task.corpus, out);
+  if (!st.ok()) return ReportError(st);
   CorpusStats stats = task.corpus.ComputeStats();
   std::printf("wrote %s: %zu docs, %.1f%% positive\n", out.c_str(),
               stats.num_documents, 100.0 * stats.positive_fraction);
@@ -548,11 +526,9 @@ int CmdGenerate(const Flags& flags) {
 
 int CmdInspect(const Flags& flags) {
   StatusOr<Corpus> corpus = ObtainCorpus(flags);
-  ZCHECK_OK(flags.CheckAllConsumed());
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
+  Status st = flags.CheckAllConsumed();
+  if (!st.ok()) return ReportError(st);
+  if (!corpus.ok()) return ReportError(corpus.status());
   CorpusStats s = corpus.value().ComputeStats();
   std::printf("name:               %s\n", corpus.value().name().c_str());
   std::printf("documents:          %zu\n", s.num_documents);
@@ -564,18 +540,10 @@ int CmdInspect(const Flags& flags) {
   return 0;
 }
 
-/// EngineOptions::Validate as a CLI error, so flag combinations the engine
-/// would reject (a --holdout below the probe size) exit 1 before the
-/// corpus is built.
-bool EngineOptionsValid(const EngineOptions& opts) {
-  Status st = opts.Validate();
-  if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
-  return st.ok();
-}
-
 int CmdRun(const Flags& flags) {
-  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
-  if (!EngineOptionsValid(opts)) return 1;
+  StatusOr<EngineOptions> opts_or = MakeEngineOptionsFromFlags(flags);
+  if (!opts_or.ok()) return ReportError(opts_or.status());
+  const EngineOptions opts = opts_or.value();
   StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
   if (!corpus_or.ok()) {
     std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
@@ -599,7 +567,6 @@ int CmdRun(const Flags& flags) {
   }
   bool with_baseline = flags.GetBool("baseline");
   bool use_cache = flags.GetBool("cache");
-  PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
   size_t trials = static_cast<size_t>(flags.GetInt("trials", 1));
   size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
   std::string csv = flags.GetString("csv", "");
@@ -610,8 +577,9 @@ int CmdRun(const Flags& flags) {
   // and replays it as a virtual-time arrival schedule.
   double stream_fraction = flags.GetDouble("stream", 0.0);
   double ingest_rate = flags.GetDouble("ingest-rate", 100.0);
-  ArrivalOrder stream_order =
+  StatusOr<ArrivalOrder> stream_order =
       ParseArrivalOrder(flags.GetString("stream-order", "corpus"));
+  if (!stream_order.ok()) return ReportError(stream_order.status());
   uint64_t stream_seed = static_cast<uint64_t>(flags.GetInt("stream-seed", 17));
   ObsOutputs obs_out = GetObsOutputs(flags);
   Status st = flags.CheckAllConsumed();
@@ -647,7 +615,7 @@ int CmdRun(const Flags& flags) {
     base = std::max<size_t>(std::min(base, corpus.size()), 1);
     ArrivalScheduleOptions sopts;
     sopts.docs_per_virtual_second = ingest_rate;
-    sopts.order = stream_order;
+    sopts.order = stream_order.value();
     sopts.seed = stream_seed;
     source = std::make_unique<ScheduledCorpusSource>(
         &corpus, base, BuildArrivalSchedule(corpus, base, sopts));
@@ -655,7 +623,7 @@ int CmdRun(const Flags& flags) {
     std::printf("stream: base %zu of %zu docs, %zu arrivals at %.1f "
                 "docs/virtual-second (%s order)\n",
                 base, corpus.size(), source->arrivals().size(), ingest_rate,
-                ArrivalOrderName(stream_order));
+                ArrivalOrderName(stream_order.value()));
   } else {
     grouping = grouper->Group(corpus);
   }
@@ -673,7 +641,6 @@ int CmdRun(const Flags& flags) {
   dopts.engine = opts;
   dopts.engine.obs = obs.get();
   dopts.cache = use_cache ? &cache : nullptr;
-  dopts.prefetch = prefetch;
   dopts.store = store.get();
   dopts.stream = source.get();
   dopts.incremental_grouper = igrouper.get();
@@ -746,8 +713,9 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdSession(const Flags& flags) {
-  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
-  if (!EngineOptionsValid(opts)) return 1;
+  StatusOr<EngineOptions> opts_or = MakeEngineOptionsFromFlags(flags);
+  if (!opts_or.ok()) return ReportError(opts_or.status());
+  EngineOptions opts = opts_or.value();
   StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
   if (!corpus_or.ok()) {
     std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
@@ -756,7 +724,6 @@ int CmdSession(const Flags& flags) {
   Corpus corpus = std::move(corpus_or).value();
   bool warm = flags.GetBool("warm");
   bool use_cache = flags.GetBool("cache");
-  PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
   size_t groups = static_cast<size_t>(flags.GetInt("groups", 32));
   std::string store_path = flags.GetString("store-path", "");
   ObsOutputs obs_out = GetObsOutputs(flags);
@@ -783,7 +750,7 @@ int CmdSession(const Flags& flags) {
   KMeansGrouper grouper(groups, 7);
   SessionResult fast = RunSession(corpus, script, SessionMode::kZombie,
                                   &grouper, learner, reward, opts, warm,
-                                  cache_ptr, prefetch, store.get());
+                                  cache_ptr, {}, store.get());
   std::printf("%s\n%s\n", full.ToString().c_str(), fast.ToString().c_str());
   if (use_cache) {
     FeatureCacheStats cs = cache.Stats();

@@ -37,8 +37,8 @@
 //                   are irrelevant).
 //   no-raw-extract-outside-service
 //                   Feature extraction flows through
-//                   ExtractionService::Featurize so caching, speculative-
-//                   prefetch accounting, and metrics stay on one path.
+//                   ExtractionService::Featurize so caching, store
+//                   tiering, and metrics stay on one path.
 //                   Direct `.Extract(` / `->Extract(` calls are banned in
 //                   src/ outside src/featureeng/.
 //   no-raw-mmap     Memory mapping flows through util/mmap_file.h (and the
@@ -58,7 +58,7 @@
 //                   silently forks the accumulation order.
 //
 // Determinism rules (v2). The paper's speedup claims rest on byte-identical
-// results across cache / prefetch / thread-count configurations; these rules
+// results across cache / store / thread-count configurations; these rules
 // make the easiest ways to silently break that invariant a lint failure:
 //
 //   no-unordered-iteration
