@@ -820,7 +820,10 @@ void ExportPerIsaKernelRatios(const JsonExportReporter& console,
        {simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
     const std::string ln = simd::SimdLevelName(level);
     for (const auto& kernel : kSimdKernelNames) {
-      const std::string suffix = "/" + std::to_string(kSimdBenchNnz);
+      // Appended, not "/" + to_string(...): gcc 12 flags the inlined
+      // prepend with a false -Wrestrict.
+      std::string suffix = "/";
+      suffix += std::to_string(kSimdBenchNnz);
       const double scalar_wall =
           console.WallOf(std::string(kernel.bench) + "/scalar" + suffix);
       const double isa_wall =

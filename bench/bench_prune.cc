@@ -18,6 +18,7 @@
 
 #include "bench_common.h"
 #include "bandit/epsilon_greedy.h"
+#include "featureeng/extraction_service.h"
 #include "index/kmeans_grouper.h"
 #include "ml/feature_pruner.h"
 #include "ml/naive_bayes.h"
@@ -33,7 +34,7 @@ namespace {
 /// same item count and wall times compare like for like. Evaluation is
 /// deliberately frequent (every 5 items over a corpus-half holdout) — the
 /// regime where the inner loop is holdout-kernel-bound and pruning pays.
-EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
+EngineOptions PruneBenchOptions(uint64_t seed,
                                 const FeaturePrunerOptions& pruning) {
   EngineOptions opts = BenchEngineOptions(seed);
   opts.holdout_size = 1000;
@@ -43,7 +44,6 @@ EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
   opts.stop.max_items = 600;
   opts.stop.plateau_enabled = false;
   opts.stop.decline_enabled = false;
-  opts.feature_cache = cache;
   opts.pruning = pruning;
   return opts;
 }
@@ -51,8 +51,9 @@ EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
 RunResult RunArm(const Task& task, const GroupingResult& grouping,
                  uint64_t seed, FeatureCache* cache,
                  const FeaturePrunerOptions& pruning) {
-  EngineOptions opts = PruneBenchOptions(seed, cache, pruning);
-  ZombieEngine engine(&task.corpus, &task.pipeline, opts);
+  ExtractionService service(&task.pipeline, cache);
+  ZombieEngine engine(&task.corpus, &service,
+                      PruneBenchOptions(seed, pruning));
   EpsilonGreedyPolicy policy;
   NaiveBayesLearner nb;
   LabelReward reward;

@@ -24,6 +24,7 @@
 
 #include "bench_common.h"
 #include "bandit/epsilon_greedy.h"
+#include "featureeng/extraction_service.h"
 #include "data/corpus_source.h"
 #include "index/incremental_grouper.h"
 #include "ml/naive_bayes.h"
@@ -36,13 +37,11 @@ namespace {
 
 /// Fixed-budget engine options: early stops off and max_items covering the
 /// whole corpus, so both arms run to exhaustion and compare like for like.
-EngineOptions StreamBenchOptions(const Task& task, uint64_t seed,
-                                 FeatureCache* cache) {
+EngineOptions StreamBenchOptions(const Task& task, uint64_t seed) {
   EngineOptions opts = BenchEngineOptions(seed);
   opts.stop.max_items = task.corpus.size();
   opts.stop.plateau_enabled = false;
   opts.stop.decline_enabled = false;
-  opts.feature_cache = cache;
   return opts;
 }
 
@@ -57,10 +56,11 @@ ArmOutcome RunArm(const Task& task, const GroupingResult& grouping,
                   uint64_t seed, FeatureCache* cache,
                   const ScheduledCorpusSource* stream,
                   const IncrementalGrouper* igrouper) {
-  EngineOptions opts = StreamBenchOptions(task, seed, cache);
+  EngineOptions opts = StreamBenchOptions(task, seed);
   ObsContext obs;
   opts.obs = &obs;
-  ZombieEngine engine(&task.corpus, &task.pipeline, opts);
+  ExtractionService service(&task.pipeline, cache);
+  ZombieEngine engine(&task.corpus, &service, opts);
   EpsilonGreedyPolicy policy;
   NaiveBayesLearner nb;
   LabelReward reward;

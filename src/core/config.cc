@@ -13,9 +13,6 @@ Status EngineOptions::Validate() const {
     return Status::InvalidArgument(
         "probe_size must be in [1, holdout_size]");
   }
-  if (stop.plateau_enabled && stop.plateau.window < 2) {
-    return Status::InvalidArgument("plateau window must be >= 2");
-  }
   if (stop.max_items == 0) {
     return Status::InvalidArgument("max_items must be positive");
   }

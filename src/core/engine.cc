@@ -6,7 +6,6 @@
 
 #include "core/convergence.h"
 #include "data/corpus_source.h"
-#include "featureeng/feature_cache.h"
 #include "featureeng/persistent_feature_store.h"
 #include "index/grouped_corpus.h"
 #include "index/incremental_grouper.h"
@@ -35,27 +34,20 @@ GroupingResult MakeSingleGroupGrouping(size_t corpus_size) {
 ZombieEngine::ZombieEngine(const Corpus* corpus,
                            const FeaturePipeline* pipeline,
                            EngineOptions options)
-    : corpus_(corpus), pipeline_(pipeline), options_(options) {
+    : corpus_(corpus),
+      owned_service_(std::make_unique<ExtractionService>(pipeline)),
+      service_(owned_service_.get()),
+      options_(options) {
   ZCHECK(corpus != nullptr);
-  ZCHECK(pipeline != nullptr);
   ZCHECK_OK(options.Validate());
   ZCHECK(!corpus->empty()) << "cannot run on an empty corpus";
 }
 
 ZombieEngine::ZombieEngine(const Corpus* corpus, ExtractionService* service,
                            EngineOptions options)
-    : corpus_(corpus),
-      pipeline_(service != nullptr ? &service->pipeline() : nullptr),
-      service_(service),
-      options_(options) {
+    : corpus_(corpus), service_(service), options_(options) {
   ZCHECK(corpus != nullptr);
   ZCHECK(service != nullptr);
-  ZCHECK(options.feature_cache == nullptr)
-      << "with a borrowed ExtractionService the cache belongs to the "
-         "service, not EngineOptions";
-  ZCHECK(options.feature_store == nullptr)
-      << "with a borrowed ExtractionService the feature store belongs to "
-         "the service, not EngineOptions";
   ZCHECK_OK(options.Validate());
   ZCHECK(!corpus->empty()) << "cannot run on an empty corpus";
 }
@@ -63,6 +55,11 @@ ZombieEngine::ZombieEngine(const Corpus* corpus, ExtractionService* service,
 namespace {
 
 int32_t BinaryLabel(int32_t raw) { return raw == 1 ? 1 : 0; }
+
+/// Plateau stop requires the quality estimate to have lifted off the
+/// floor: a flat-at-zero curve means the learner has not seen the rare
+/// class yet, not that it has converged.
+constexpr double kPlateauMinQuality = 0.02;
 
 }  // namespace
 
@@ -129,19 +126,6 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   }
   TraceSpan run_span(tracer, "engine.run", "engine");
 
-  // All featurization goes through the ExtractionService facade: either
-  // the caller's shared service, or a transient per-run one wrapping
-  // (pipeline, EngineOptions::feature_cache, EngineOptions::feature_store).
-  // The service's memoization is wall-clock-only (see its equivalence
-  // contract), so everything downstream — learner updates, rewards, the
-  // virtual clock — is byte-identical whether extraction is raw, cached,
-  // or served from the store.
-  ExtractionService* service = service_;
-  std::optional<ExtractionService> run_service;
-  if (service == nullptr) {
-    service = &run_service.emplace(pipeline_, options_.feature_cache,
-                                   options_.feature_store);
-  }
   // Online feature pruning. Disabled (the default) constructs nothing and
   // every hook below is null-guarded, so the prune-off run is byte-for-byte
   // the pre-pruning engine. Enabled, the pruner observes training examples
@@ -154,11 +138,16 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     pruner = std::make_unique<FeaturePruner>(options_.pruning);
   }
 
+  // All featurization goes through the engine's ExtractionService. Its
+  // memoization is wall-clock-only (see its equivalence contract), so
+  // everything downstream — learner updates, rewards, the virtual clock —
+  // is byte-identical whether extraction is raw, cached, or served from
+  // the store.
   CacheOutcome last_cache = CacheOutcome::kDisabled;
   auto featurize = [&](uint32_t doc_id, const Document& doc) {
     ScopedHistogramTimer extract_timer(extract_hist);
     SparseVector x =
-        service->Featurize(doc, doc_id, *corpus_, &last_cache, pruner.get());
+        service_->Featurize(doc, doc_id, *corpus_, &last_cache, pruner.get());
     switch (last_cache) {
       case CacheOutcome::kDisabled:
         if (cache_bypass_counter != nullptr) {
@@ -238,10 +227,8 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     for (uint32_t id : ids) {
       const Document& doc = corpus_->doc(id);
       holdout_data.Add(featurize(id, doc), BinaryLabel(doc.label));
-      if (options_.charge_holdout_cost) {
-        clock.Advance(pipeline_->ExtractionCostMicros(doc) +
-                      doc.labeling_cost_micros);
-      }
+      clock.Advance(service_->ExtractionCostMicros(doc) +
+                    doc.labeling_cost_micros);
     }
     result.holdout_virtual_micros = clock.NowMicros();
     clock.Reset();  // loop_virtual_micros is tracked separately
@@ -263,7 +250,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   std::unique_ptr<BanditPolicy> policy = policy_prototype.Clone();
   std::unique_ptr<RewardFunction> reward = reward_prototype.Clone();
   policy->Reset(num_groups);
-  ArmStats stats(num_groups, options_.arm_stats);
+  ArmStats stats(num_groups);
   std::vector<size_t> pseudo_pulls(num_groups, 0);
   std::vector<double> pseudo_reward(num_groups, 0.0);
   if (warm_start != nullptr && warm_start->size() == num_groups) {
@@ -397,7 +384,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
                       static_cast<unsigned long long>(options_.seed))
           : std::string();
 
-  ConvergenceDetector plateau(options_.stop.plateau);
+  ConvergenceDetector plateau;  // default window and spread
   const StopRule& stop = options_.stop;
   double peak_quality = 0.0;
   size_t evals_below_peak = 0;
@@ -409,7 +396,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     // has not yet revealed (and must stay fixed as arrivals land).
     for (size_t i = 0; i < base_size; ++i) {
       mean_item_cost += static_cast<double>(
-          pipeline_->ExtractionCostMicros(corpus_->doc(i)));
+          service_->ExtractionCostMicros(corpus_->doc(i)));
     }
     mean_item_cost /= static_cast<double>(base_size);
     if (mean_item_cost <= 0.0) mean_item_cost = 1.0;
@@ -498,7 +485,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     const Document& doc = corpus_->doc(*doc_idx);
     SparseVector x = featurize(*doc_idx, doc);
     const int64_t extraction_cost =
-        pipeline_->ExtractionCostMicros(doc) + doc.labeling_cost_micros;
+        service_->ExtractionCostMicros(doc) + doc.labeling_cost_micros;
     clock.Advance(extraction_cost);
     int32_t y = BinaryLabel(doc.label);
     if (y == 1 && positives_counter != nullptr) {
@@ -540,7 +527,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     double r = reward->Compute(inputs);
     if (options_.cost_aware_rewards) {
       double relative_cost =
-          static_cast<double>(pipeline_->ExtractionCostMicros(doc)) /
+          static_cast<double>(service_->ExtractionCostMicros(doc)) /
           mean_item_cost;
       // Clamp so one freak-cheap item cannot dominate the arm estimate
       // (rewards must stay in [0, 1] for the Bernoulli-style policies).
@@ -548,9 +535,9 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     }
     if (dlog != nullptr) {
       // Captured before Observe so the scores reflect the posterior the
-      // policy actually selected from. Every field is deterministic given
-      // (corpus, grouping, seed) — no wall time — which is what makes the
-      // log byte-identical across driver thread counts.
+      // policy actually selected from. No field reads wall time; see
+      // DecisionRecord for which fields are fixed by (corpus, grouping,
+      // seed) across driver thread counts.
       policy->ScoreArms(stats, &score_buffer);
       DecisionRecord rec;
       rec.iteration = static_cast<uint64_t>(items - 1);  // 0-based pull index
@@ -608,7 +595,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
         result.stop_reason = StopReason::kTarget;
         stopped = true;
       } else if (stop.plateau_enabled && items >= stop.min_items &&
-                 q > stop.plateau_min_quality && plateau.converged()) {
+                 q > kPlateauMinQuality && plateau.converged()) {
         result.stop_reason = StopReason::kPlateau;
         stopped = true;
       } else if (stop.decline_enabled && items >= stop.min_items &&
@@ -658,7 +645,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   }
   // Gauges: repeated exports from runs sharing a store overwrite, never
   // double-count.
-  if (service->store() != nullptr) service->store()->ExportMetrics(metrics);
+  if (service_->store() != nullptr) service_->store()->ExportMetrics(metrics);
   return result;
 }
 

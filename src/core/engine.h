@@ -2,7 +2,6 @@
 #define ZOMBIE_CORE_ENGINE_H_
 
 #include <memory>
-
 #include <vector>
 
 #include "bandit/policy.h"
@@ -44,16 +43,15 @@ namespace zombie {
 class ZombieEngine {
  public:
   /// Both pointers are borrowed and must outlive the engine. Extraction
-  /// goes through a per-run ExtractionService built over `pipeline`,
-  /// EngineOptions::feature_cache and EngineOptions::feature_store.
+  /// goes through an engine-owned ExtractionService over `pipeline` with
+  /// no cache or store tier.
   ZombieEngine(const Corpus* corpus, const FeaturePipeline* pipeline,
                EngineOptions options = {});
 
-  /// Extraction routed through a caller-owned service (a cache and store
-  /// shared across runs — the session and experiment driver use this).
-  /// `service` is borrowed and must outlive the engine.
-  /// EngineOptions::feature_cache and feature_store must be null here —
-  /// the tiers, if any, belong to the service.
+  /// Extraction routed through a caller-owned service: the only way to
+  /// attach a FeatureCache or PersistentFeatureStore (the session and the
+  /// experiment driver share one across runs). `service` is borrowed and
+  /// must outlive the engine.
   ZombieEngine(const Corpus* corpus, ExtractionService* service,
                EngineOptions options = {});
 
@@ -65,16 +63,14 @@ class ZombieEngine {
 
   const EngineOptions& options() const { return options_; }
   const Corpus& corpus() const { return *corpus_; }
-  const FeaturePipeline& pipeline() const { return *pipeline_; }
-  /// The borrowed service, or null when the engine builds one per run.
+  /// The service every extraction goes through; never null.
   ExtractionService* extraction_service() const { return service_; }
 
  private:
   const Corpus* corpus_;
-  const FeaturePipeline* pipeline_;
-  /// Borrowed from the caller (second constructor); null means Run()
-  /// constructs a transient service per run.
-  ExtractionService* service_ = nullptr;
+  /// Set by the pipeline constructor only; `service_` points at it.
+  std::unique_ptr<ExtractionService> owned_service_;
+  ExtractionService* service_;
   EngineOptions options_;
 };
 

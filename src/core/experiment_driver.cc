@@ -1,5 +1,6 @@
 #include "core/experiment_driver.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "core/baselines.h"
@@ -38,18 +39,11 @@ Status ExperimentGrid::Validate() const {
 }
 
 std::string TrialSpec::Label() const {
-  std::string label =
-      StrFormat("%s/%s/%s/%s/s%llu", PolicyKindName(policy),
-                grouping != nullptr ? grouping->method.c_str() : "?",
-                reward != nullptr ? reward->name().c_str() : "?",
-                learner != nullptr ? learner->name().c_str() : "?",
-                static_cast<unsigned long long>(seed));
-  // No-override cells keep the historical label so prunings-free grids
-  // produce byte-identical logs and reports.
-  if (pruning != nullptr) {
-    label += StrFormat("/prune@%zu", pruning_index);
-  }
-  return label;
+  return StrFormat("%s/%s/%s/%s/s%llu", PolicyKindName(policy),
+                   grouping != nullptr ? grouping->method.c_str() : "?",
+                   reward != nullptr ? reward->name().c_str() : "?",
+                   learner != nullptr ? learner->name().c_str() : "?",
+                   static_cast<unsigned long long>(seed));
 }
 
 namespace {
@@ -78,10 +72,6 @@ ExperimentDriver::ExperimentDriver(const Corpus* corpus,
       num_threads_(ResolveThreads(options.num_threads)) {
   ZCHECK(corpus != nullptr);
   ZCHECK(pipeline != nullptr);
-  ZCHECK(options_.engine.feature_cache == nullptr)
-      << "pass the cache via ExperimentDriverOptions::cache";
-  ZCHECK(options_.engine.feature_store == nullptr)
-      << "pass the store via ExperimentDriverOptions::store";
   ZCHECK((options_.stream == nullptr) ==
          (options_.incremental_grouper == nullptr))
       << "streaming needs both the source and the incremental grouper";
@@ -94,29 +84,21 @@ StatusOr<std::vector<TrialResult>> ExperimentDriver::RunGrid(
   ZOMBIE_RETURN_IF_ERROR(grid.Validate());
 
   // Row-major expansion keeps result order independent of execution order.
-  // An empty prunings axis expands as one no-override cell, so grids that
-  // predate the axis keep their exact trial order and labels.
-  std::vector<const FeaturePrunerOptions*> prunings = grid.prunings;
-  if (prunings.empty()) prunings.push_back(nullptr);
   std::vector<TrialSpec> specs;
   specs.reserve(grid.size());
   for (PolicyKind policy : grid.policies) {
     for (const GroupingResult* grouping : grid.groupings) {
       for (const RewardFunction* reward : grid.rewards) {
         for (const Learner* learner : grid.learners) {
-          for (size_t p = 0; p < prunings.size(); ++p) {
-            for (uint64_t seed : grid.seeds) {
-              TrialSpec spec;
-              spec.index = specs.size();
-              spec.policy = policy;
-              spec.grouping = grouping;
-              spec.reward = reward;
-              spec.learner = learner;
-              spec.pruning = prunings[p];
-              spec.pruning_index = p;
-              spec.seed = seed;
-              specs.push_back(spec);
-            }
+          for (uint64_t seed : grid.seeds) {
+            TrialSpec spec;
+            spec.index = specs.size();
+            spec.policy = policy;
+            spec.grouping = grouping;
+            spec.reward = reward;
+            spec.learner = learner;
+            spec.seed = seed;
+            specs.push_back(spec);
           }
         }
       }
@@ -143,7 +125,6 @@ StatusOr<std::vector<TrialResult>> ExperimentDriver::RunGrid(
                          "driver");
     EngineOptions opts = options_.engine;
     opts.seed = spec.seed;
-    if (spec.pruning != nullptr) opts.pruning = *spec.pruning;
     ZombieEngine engine(corpus_, service_.get(), opts);
     std::unique_ptr<BanditPolicy> policy = MakePolicy(spec.policy);
     if (policy == nullptr) {

@@ -1,7 +1,6 @@
 #ifndef ZOMBIE_CORE_EXPERIMENT_DRIVER_H_
 #define ZOMBIE_CORE_EXPERIMENT_DRIVER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -26,30 +25,24 @@ class IncrementalGrouper;
 
 /// A declarative experiment grid: the cross product
 ///
-///   policies x groupings x rewards x learners x prunings x seeds
+///   policies x groupings x rewards x learners x seeds
 ///
-/// Every axis except seeds may be left with a single element; every axis
-/// except prunings must be non-empty (an empty prunings axis means one
-/// prune-off cell — identical trial order and labels to grids that predate
-/// the axis). Groupings, rewards, learners, and prunings are borrowed
-/// prototypes and must outlive the RunGrid call (rewards and learners are
-/// cloned per trial by the engine, so prototypes are never mutated).
+/// Every axis must be non-empty; any may hold a single element. Groupings,
+/// rewards, and learners are borrowed prototypes and must outlive the
+/// RunGrid call (rewards and learners are cloned per trial by the engine,
+/// so prototypes are never mutated). Every other engine setting, pruning
+/// included, comes from ExperimentDriverOptions::engine.
 struct ExperimentGrid {
   std::vector<PolicyKind> policies;
   std::vector<const GroupingResult*> groupings;
   std::vector<const RewardFunction*> rewards;
   std::vector<const Learner*> learners;
-  /// Per-trial EngineOptions::pruning values. nullptr entries mean "no
-  /// override" (the shared EngineOptions::pruning applies) — the prune-off
-  /// arm of a prune-off/prune-on A/B.
-  std::vector<const FeaturePrunerOptions*> prunings;
   std::vector<uint64_t> seeds;
 
   /// Number of trials the grid expands to.
   size_t size() const {
     return policies.size() * groupings.size() * rewards.size() *
-           learners.size() * std::max<size_t>(prunings.size(), 1) *
-           seeds.size();
+           learners.size() * seeds.size();
   }
 
   [[nodiscard]] Status Validate() const;
@@ -62,15 +55,9 @@ struct TrialSpec {
   const GroupingResult* grouping = nullptr;
   const RewardFunction* reward = nullptr;
   const Learner* learner = nullptr;
-  /// The prunings-axis cell (null = no override). `pruning_index` is the
-  /// position within the axis — it disambiguates labels, since distinct
-  /// FeaturePrunerOptions have no short printable form.
-  const FeaturePrunerOptions* pruning = nullptr;
-  size_t pruning_index = 0;
   uint64_t seed = 0;
 
-  /// "egreedy/kmeans32/label/nb/s3"-style display label; trials with a
-  /// pruning override append "/prune@<axis index>".
+  /// "egreedy/kmeans32/label/nb/s3"-style display label.
   std::string Label() const;
 };
 
@@ -87,18 +74,16 @@ struct TrialResult {
 struct ExperimentDriverOptions {
   /// Worker threads for trial execution; 0 means hardware concurrency.
   size_t num_threads = 1;
-  /// Engine configuration shared by every trial; `seed` and
-  /// `feature_cache` are overridden per the grid/driver.
+  /// Engine configuration shared by every trial; `seed` is overridden by
+  /// each trial's grid seed.
   EngineOptions engine;
   /// Optional shared feature memo (borrowed, thread-safe; must outlive the
   /// driver). Trials of the same pipeline hit each other's extractions,
   /// which changes wall-clock time only — never results. The driver wraps
-  /// it in one shared ExtractionService that every trial engine borrows,
-  /// so `engine.feature_cache` must stay null.
+  /// it in one shared ExtractionService that every trial engine borrows.
   FeatureCache* cache = nullptr;
   /// Optional persistent second cache tier shared by every trial (borrowed,
-  /// thread-safe; must outlive the driver). Wall-clock-only, like `cache`;
-  /// `engine.feature_store` must stay null.
+  /// thread-safe; must outlive the driver). Wall-clock-only, like `cache`.
   PersistentFeatureStore* store = nullptr;
   /// Streaming ingestion shared by every trial (both borrowed, both or
   /// neither; must outlive the driver). The groupings axis must then hold

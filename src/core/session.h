@@ -79,14 +79,12 @@ struct SessionResult {
 /// numbers are unchanged by the cache; only wall-clock time shrinks.
 ///
 /// Ownership: the session routes each revision through its own
-/// ExtractionService built over (revision pipeline, cache, `store`), so
-/// EngineOptions::feature_cache and feature_store must be null here — pass
-/// both via the parameters and they outlive every service built on them.
-/// `store` attaches a persistent second cache tier that carries
-/// extractions across *processes* and restarts (wall-clock-only; see
-/// ExtractionService). Each revision hits the store under its own pipeline
-/// fingerprint, so a warm store skips re-extraction for exactly the
-/// revisions whose feature code is unchanged.
+/// ExtractionService built over (revision pipeline, cache, `store`); both
+/// are borrowed and must outlive the call. `store` attaches a persistent
+/// second cache tier that carries extractions across *processes* and
+/// restarts (wall-clock-only; see ExtractionService). Each revision hits
+/// the store under its own pipeline fingerprint, so a warm store skips
+/// re-extraction for exactly the revisions whose feature code is unchanged.
 /// Streaming ingestion for kZombie sessions. When `source` is set the
 /// session ignores the positional `grouper`: it primes
 /// `incremental_grouper` once over the offline base prefix (charging the

@@ -20,10 +20,15 @@ enum class CacheOutcome : int8_t {
 
 const char* CacheOutcomeName(CacheOutcome outcome);
 
-/// Everything the engine knew and decided at one bandit pull. Every field
-/// is a deterministic function of (corpus, grouping, options.seed) — wall
-/// time never appears here, so logs are byte-identical across repeat runs
-/// and worker-thread counts (the property obs_decision_log_test pins).
+/// Everything the engine knew and decided at one bandit pull. Wall time
+/// never appears here. Every field except `cache` is a deterministic
+/// function of (corpus, grouping, options.seed), so logs are byte-identical
+/// across repeat runs and worker-thread counts (the property
+/// obs_decision_log_test pins) whenever no FeatureCache is shared between
+/// concurrent runs. `cache` reports what the memory cache held at the
+/// pull: when concurrent trials share one, whichever trial extracts a
+/// document first gets the miss, so the hit/miss split can change from
+/// run to run at more than one worker thread (RunResult does not).
 struct DecisionRecord {
   uint64_t iteration = 0;  // 0-based pull index within the run
   uint32_t arm = 0;
@@ -39,11 +44,11 @@ struct DecisionRecord {
 };
 
 /// One online-pruning freeze, recorded at the holdout-eval boundary where
-/// the mask froze. Like DecisionRecord, every field is a deterministic
-/// function of (corpus, grouping, options) — never of wall time — so logs
-/// with pruning enabled stay byte-identical across thread counts and
-/// cache/store modes. Runs with pruning disabled emit no prune lines, so
-/// their serialized bytes are unchanged from before this record existed.
+/// the mask froze. Every field is a deterministic function of (corpus,
+/// grouping, options) — never of wall time or the cache — so prune lines
+/// are byte-identical across thread counts and cache/store modes. Runs
+/// with pruning disabled emit no prune lines, so their serialized bytes
+/// are unchanged from before this record existed.
 struct PruneEvent {
   uint64_t items = 0;          // engine item count at the freeze
   int64_t virtual_micros = 0;  // virtual clock at the freeze

@@ -17,7 +17,9 @@
 // Offline, every policy runs once under the label reward, and one run is
 // repeated over a shared FeatureCache (cold, then warm: the DecisionLog
 // pins the kMiss -> kHit cache outcomes) and over a PersistentFeatureStore
-// (cold, then warm).
+// (cold, then warm). The offline metadata and token groupers get one run
+// each, RunFixedSampleBaseline one run through each engine constructor,
+// and the experiment driver one prune-on trial over a cache and a store.
 //
 // Updating the pins: a change that alters engine behaviour on purpose
 // prints the new digests in the failure message (`EngineGoldenTest.Matrix`
@@ -41,7 +43,9 @@
 
 #include "bandit/epsilon_greedy.h"
 #include "bandit/policy.h"
+#include "core/baselines.h"
 #include "core/engine.h"
+#include "core/experiment_driver.h"
 #include "core/reward.h"
 #include "core/session.h"
 #include "core/task_factory.h"
@@ -51,6 +55,8 @@
 #include "featureeng/revision_script.h"
 #include "gtest/gtest.h"
 #include "index/incremental_grouper.h"
+#include "index/metadata_grouper.h"
+#include "index/token_grouper.h"
 #include "ml/adagrad_lr.h"
 #include "ml/dataset.h"
 #include "ml/feature_pruner.h"
@@ -255,13 +261,15 @@ class EngineGoldenTest : public ::testing::Test {
     return kmeans.GroupBase(task_.corpus, task_.corpus.size());
   }
 
-  // One naive-Bayes run of `kind` x reward over `grouping` under `opts`
-  // (which may attach a cache or store); streaming when `source` is set,
-  // with `prototype` the primed grouper that built `grouping`.
+  // One naive-Bayes run of `kind` x reward over `grouping` under `opts`,
+  // extracting through `tiers` when set (a service with a cache or store);
+  // streaming when `source` is set, with `prototype` the primed grouper that
+  // built `grouping`.
   std::pair<uint64_t, uint64_t> RunPolicy(
       EngineOptions opts, const GroupingResult& grouping, PolicyKind kind,
       bool improvement, const ScheduledCorpusSource* source = nullptr,
-      const IncrementalGrouper* prototype = nullptr) const {
+      const IncrementalGrouper* prototype = nullptr,
+      ExtractionService* tiers = nullptr) const {
     ObsContext obs;
     opts.obs = &obs;
     std::unique_ptr<BanditPolicy> policy = MakePolicy(kind);
@@ -271,7 +279,9 @@ class EngineGoldenTest : public ::testing::Test {
     const RewardFunction& reward =
         improvement ? static_cast<const RewardFunction&>(improvement_reward)
                     : label;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    const ZombieEngine engine =
+        tiers != nullptr ? ZombieEngine(&task_.corpus, tiers, opts)
+                         : ZombieEngine(&task_.corpus, &task_.pipeline, opts);
     RunSpec spec(grouping, *policy, learner, reward);
     spec.stream = source;
     spec.incremental_grouper = prototype;
@@ -387,11 +397,11 @@ TEST_F(EngineGoldenTest, CacheAndStoreReplays) {
   const GroupingResult grouping = OfflineGrouping();
   NamedDigests got;
   FeatureCache cache;
-  EngineOptions cached = GoldenEngineOptions();
-  cached.feature_cache = &cache;
+  ExtractionService cached(&task_.pipeline, &cache);
   for (const char* name : {"cache/cold", "cache/warm"}) {
-    got.emplace_back(name, RunPolicy(cached, grouping,
-                                     PolicyKind::kEpsilonGreedy, false));
+    got.emplace_back(name, RunPolicy(GoldenEngineOptions(), grouping,
+                                     PolicyKind::kEpsilonGreedy, false,
+                                     nullptr, nullptr, &cached));
   }
   const std::string path = testing::TempDir() + "/engine_golden.zfs";
   std::remove(path.c_str());
@@ -401,16 +411,122 @@ TEST_F(EngineGoldenTest, CacheAndStoreReplays) {
   for (const char* name : {"store/cold", "store/warm"}) {
     // A fresh memory tier per run: the warm run's store hits report kMiss.
     FeatureCache front;
-    EngineOptions stored = GoldenEngineOptions();
-    stored.feature_cache = &front;
-    stored.feature_store = store.value().get();
-    got.emplace_back(name, RunPolicy(stored, grouping,
-                                     PolicyKind::kEpsilonGreedy, false));
+    ExtractionService stored(&task_.pipeline, &front, store.value().get());
+    got.emplace_back(name, RunPolicy(GoldenEngineOptions(), grouping,
+                                     PolicyKind::kEpsilonGreedy, false,
+                                     nullptr, nullptr, &stored));
   }
   // Non-vacuity: the warm runs really were served by each tier.
   EXPECT_GT(cache.Stats().hits, 0u);
   EXPECT_GT(store.value()->Stats().hits, 0u);
   ExpectRows(got, kTierGolden);
+}
+
+// Offline egreedy/label runs over the metadata and token groupers.
+constexpr NamedGolden kOfflineGrouperGolden[] = {
+    {"metadata64/egreedy/label", 0xf62c46f69df6d388ull,
+     0xcc8ca9929036ac58ull},
+    {"token/egreedy/label", 0x98bbc90c25c3e704ull,
+     0x82ee7d6438402774ull},
+};
+
+TEST_F(EngineGoldenTest, OfflineGroupers) {
+  MetadataGrouper meta;
+  TokenGrouper token;
+  NamedDigests got;
+  for (Grouper* grouper : {static_cast<Grouper*>(&meta),
+                           static_cast<Grouper*>(&token)}) {
+    const GroupingResult grouping = grouper->Group(task_.corpus);
+    got.emplace_back(StrFormat("%s/egreedy/label", grouping.method.c_str()),
+                     RunPolicy(GoldenEngineOptions(), grouping,
+                               PolicyKind::kEpsilonGreedy, false));
+  }
+  ExpectRows(got, kOfflineGrouperGolden);
+}
+
+// RunFixedSampleBaseline through an engine built over the pipeline and
+// through one borrowing a tier-less service: one run, so one digest pair.
+constexpr NamedGolden kFixedSampleGolden[] = {
+    {"fixedsample/pipeline", 0x65d85836c31158ddull,
+     0x1fc3a3d0700dd10aull},
+    {"fixedsample/service", 0x65d85836c31158ddull,
+     0x1fc3a3d0700dd10aull},
+};
+
+TEST_F(EngineGoldenTest, FixedSampleBaseline) {
+  constexpr size_t kSample = 150;
+  NaiveBayesLearner learner;
+  ExtractionService service(&task_.pipeline);
+  NamedDigests got;
+  for (bool borrowed : {false, true}) {
+    ObsContext obs;
+    EngineOptions opts = GoldenEngineOptions();
+    opts.obs = &obs;
+    RunResult r;
+    if (borrowed) {
+      r = RunFixedSampleBaseline(ZombieEngine(&task_.corpus, &service, opts),
+                                 learner, kSample);
+    } else {
+      r = RunFixedSampleBaseline(
+          ZombieEngine(&task_.corpus, &task_.pipeline, opts), learner,
+          kSample);
+    }
+    EXPECT_EQ(r.items_processed, kSample);
+    got.emplace_back(borrowed ? "fixedsample/service" : "fixedsample/pipeline",
+                     Digests{Fnv1a(r.Fingerprint()),
+                             Fnv1a(obs.decisions()->ToJsonl())});
+  }
+  ExpectRows(got, kFixedSampleGolden);
+}
+
+// A prune-on experiment-driver trial (egreedy/label, seed 3) over a shared
+// FeatureCache and PersistentFeatureStore, run cold and then warm by two
+// drivers over the same tiers. Pinned by the trial's RunResult and
+// DecisionLog, not its label; the fingerprint is the "label/conservative/
+// offline" matrix row's, since the tiers are wall-clock-only.
+constexpr NamedGolden kDriverGolden[] = {
+    {"driver/prune/cold", 0x34a99913f049475cull,
+     0x293b1aded7ebd47cull},
+    {"driver/prune/warm", 0x34a99913f049475cull,
+     0x9d5919093cf08ff2ull},
+};
+
+TEST_F(EngineGoldenTest, PrunedDriverTrialOverTiers) {
+  const GroupingResult grouping = OfflineGrouping();
+  const std::string path = testing::TempDir() + "/engine_golden_driver.zfs";
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+  auto store = PersistentFeatureStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  FeatureCache cache;
+  NaiveBayesLearner learner;
+  LabelReward reward;
+  ExperimentGrid grid;
+  grid.policies = {PolicyKind::kEpsilonGreedy};
+  grid.groupings = {&grouping};
+  grid.rewards = {&reward};
+  grid.learners = {&learner};
+  grid.seeds = {3};
+  NamedDigests got;
+  for (const char* name : {"driver/prune/cold", "driver/prune/warm"}) {
+    ObsContext obs;
+    ExperimentDriverOptions dopts;
+    dopts.engine = GoldenEngineOptions();
+    dopts.engine.pruning = ConservativePruning();
+    dopts.engine.obs = &obs;
+    dopts.cache = &cache;
+    dopts.store = store.value().get();
+    ExperimentDriver driver(&task_.corpus, &task_.pipeline, dopts);
+    auto trials = driver.RunGrid(grid);
+    ASSERT_TRUE(trials.ok()) << trials.status().ToString();
+    ASSERT_EQ(trials.value().size(), 1u);
+    EXPECT_EQ(obs.metrics()->GetCounter("prune.freezes")->value(), 1u);
+    got.emplace_back(name,
+                     Digests{Fnv1a(trials.value()[0].run.Fingerprint()),
+                             Fnv1a(obs.decisions()->ToJsonl())});
+  }
+  EXPECT_GT(cache.Stats().hits, 0u);
+  ExpectRows(got, kDriverGolden);
 }
 
 // Streaming rows, in run order: "<grouper>/<policy>/<reward>". The ikmeans

@@ -19,6 +19,7 @@
 #include "core/engine.h"
 #include "core/reward.h"
 #include "core/task_factory.h"
+#include "featureeng/extraction_service.h"
 #include "featureeng/feature_cache.h"
 #include "gtest/gtest.h"
 #include "index/kmeans_grouper.h"
@@ -73,14 +74,14 @@ class EnginePruneTest : public ::testing::Test {
     opts.holdout_size = 150;
     opts.eval_every = 10;
     opts.stop.max_items = 200;
-    opts.feature_cache = use_cache ? &cache : nullptr;
     opts.pruning = pruning;
     ObsContext obs;
     opts.obs = &obs;
 
     EpsilonGreedyPolicy policy;
     LabelReward reward;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    ExtractionService service(&task_.pipeline, use_cache ? &cache : nullptr);
+    ZombieEngine engine(&task_.corpus, &service, opts);
     RunResult r = engine.Run(RunSpec(grouping_, policy, learner, reward));
 
     Outcome out;

@@ -17,6 +17,7 @@
 #include "core/experiment_driver.h"
 #include "core/reward.h"
 #include "core/task_factory.h"
+#include "featureeng/extraction_service.h"
 #include "featureeng/feature_cache.h"
 #include "featureeng/persistent_feature_store.h"
 #include "gtest/gtest.h"
@@ -56,15 +57,14 @@ class EngineStoreTest : public ::testing::Test {
     opts.holdout_size = 150;
     opts.eval_every = 10;
     opts.stop.max_items = 200;
-    opts.feature_cache = &cache;
-    opts.feature_store = store;
     ObsContext obs;
     opts.obs = &obs;
 
     NaiveBayesLearner learner;
     LabelReward reward;
     EpsilonGreedyPolicy policy;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    ExtractionService service(&task_.pipeline, &cache, store);
+    ZombieEngine engine(&task_.corpus, &service, opts);
     RunSpec spec(grouping_, policy, learner, reward);
     RunResult r = engine.Run(spec);
 

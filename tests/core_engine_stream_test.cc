@@ -23,6 +23,7 @@
 #include "core/reward.h"
 #include "core/task_factory.h"
 #include "data/corpus_source.h"
+#include "featureeng/extraction_service.h"
 #include "featureeng/feature_cache.h"
 #include "gtest/gtest.h"
 #include "index/incremental_grouper.h"
@@ -81,14 +82,14 @@ class EngineStreamTest : public ::testing::Test {
       opts.stop.plateau_enabled = false;
       opts.stop.decline_enabled = false;
     }
-    opts.feature_cache = use_cache ? &cache : nullptr;
     ObsContext obs;
     opts.obs = &obs;
 
     EpsilonGreedyPolicy policy;
     LabelReward reward;
     NaiveBayesLearner nb;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    ExtractionService service(&task_.pipeline, use_cache ? &cache : nullptr);
+    ZombieEngine engine(&task_.corpus, &service, opts);
     RunSpec spec(grouping, policy, nb, reward);
     spec.stream = stream;
     spec.incremental_grouper = igrouper;
@@ -254,13 +255,13 @@ TEST_F(EngineStreamTest, AllPoliciesSurviveMidRunArmGrowth) {
       opts.holdout_size = 120;
       opts.eval_every = 10;
       opts.stop.max_items = 250;
-      opts.feature_cache = &cache;
       ObsContext obs;
       opts.obs = &obs;
       auto policy = MakePolicy(kind);
       LabelReward reward;
       NaiveBayesLearner nb;
-      ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+      ExtractionService service(&task_.pipeline, &cache);
+      ZombieEngine engine(&task_.corpus, &service, opts);
       RunSpec spec(grouping, *policy, nb, reward);
       spec.stream = &source;
       spec.incremental_grouper = &igrouper;

@@ -22,11 +22,11 @@
 //   zombie_cli simd-level [--print=active|detected]
 //
 // Flags are --key=value; unknown flags and unknown values of the enum
-// flags (--prune, --stream-order, ...) exit 1 with a message. Numeric
-// flags must parse whole and lie in their range (kNumericFlags), checked
-// before anything is built. When --corpus is
-// given it is loaded from disk, otherwise --task/--docs/--seed generate
-// one.
+// flags (--prune, --stream-order, ...) exit 1 with a message before any
+// corpus is loaded or generated. Numeric flags must parse whole and lie in
+// their range (kNumericFlags), checked before anything is built. When
+// --corpus is given it is loaded from disk, otherwise --task/--docs/--seed
+// generate one.
 // The three --*-out flags enable the matching observability sink for the
 // run and write it on exit: --trace-out produces Chrome/Perfetto-loadable
 // trace JSON, --metrics-out a metrics snapshot, --decisions-out the
@@ -52,9 +52,10 @@
 // index/incremental_grouper.h). --ingest-rate sets the arrival rate in
 // documents per virtual second (default 100), --stream-order the arrival
 // permutation, --stream-seed the schedule's jitter seed. Streaming runs
-// are deterministic given these flags: fingerprints and decision logs are
-// byte-identical across --threads, --cache/--store-path, and forced SIMD
-// levels. Requires --grouper=kmeans|metadata|token.
+// are deterministic given these flags: fingerprints are byte-identical
+// across --threads, --cache/--store-path, and forced SIMD levels, and so
+// are decision logs except their "cache" field (see obs/decision_log.h).
+// Requires --grouper=kmeans|metadata|token.
 //
 // --fingerprint-out (run only) writes each trial's canonical RunResult
 // fingerprint (see RunResult::Fingerprint); the simd-dispatch CI job
@@ -272,14 +273,31 @@ StatusOr<TaskKind> ParseTaskKind(const std::string& name) {
   return Status::InvalidArgument("unknown task: " + name);
 }
 
-StatusOr<Corpus> ObtainCorpus(const Flags& flags) {
-  std::string path = flags.GetString("corpus", "");
-  if (!path.empty()) return LoadCorpus(path);
-  ZOMBIE_ASSIGN_OR_RETURN(TaskKind kind,
-                          ParseTaskKind(flags.GetString("task", "webcat")));
-  Task task = MakeTask(kind,
-                       static_cast<size_t>(flags.GetInt("docs", 12000)),
-                       static_cast<uint64_t>(flags.GetInt("seed", 42)));
+/// Where a command's corpus comes from: the file --corpus names, or else
+/// a task generated from --task/--docs/--seed. Reading these flags builds
+/// nothing, so a command checks all its flags before ObtainCorpus.
+struct CorpusFlags {
+  std::string path;
+  std::string task;
+  size_t docs = 0;
+  uint64_t seed = 0;
+};
+
+CorpusFlags GetCorpusFlags(const Flags& flags) {
+  CorpusFlags src;
+  src.path = flags.GetString("corpus", "");
+  if (src.path.empty()) {
+    src.task = flags.GetString("task", "webcat");
+    src.docs = static_cast<size_t>(flags.GetInt("docs", 12000));
+    src.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  }
+  return src;
+}
+
+StatusOr<Corpus> ObtainCorpus(const CorpusFlags& src) {
+  if (!src.path.empty()) return LoadCorpus(src.path);
+  ZOMBIE_ASSIGN_OR_RETURN(TaskKind kind, ParseTaskKind(src.task));
+  Task task = MakeTask(kind, src.docs, src.seed);
   return std::move(task.corpus);
 }
 
@@ -525,9 +543,10 @@ int CmdGenerate(const Flags& flags) {
 }
 
 int CmdInspect(const Flags& flags) {
-  StatusOr<Corpus> corpus = ObtainCorpus(flags);
+  const CorpusFlags corpus_flags = GetCorpusFlags(flags);
   Status st = flags.CheckAllConsumed();
   if (!st.ok()) return ReportError(st);
+  StatusOr<Corpus> corpus = ObtainCorpus(corpus_flags);
   if (!corpus.ok()) return ReportError(corpus.status());
   CorpusStats s = corpus.value().ComputeStats();
   std::printf("name:               %s\n", corpus.value().name().c_str());
@@ -544,19 +563,12 @@ int CmdRun(const Flags& flags) {
   StatusOr<EngineOptions> opts_or = MakeEngineOptionsFromFlags(flags);
   if (!opts_or.ok()) return ReportError(opts_or.status());
   const EngineOptions opts = opts_or.value();
-  StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
-  if (!corpus_or.ok()) {
-    std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
-    return 1;
-  }
-  Corpus corpus = std::move(corpus_or).value();
+  const CorpusFlags corpus_flags = GetCorpusFlags(flags);
   StatusOr<TaskKind> kind = ParseTaskKind(flags.GetString("task", "webcat"));
   if (!kind.ok()) {
     std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
     return 1;
   }
-  FeaturePipeline pipeline = MakeDefaultPipeline(kind.value(), corpus);
-
   auto grouper = MakeGrouperFromFlags(flags);
   StatusOr<PolicyKind> policy_kind = ParsePolicyKindFromFlags(flags);
   auto reward = MakeRewardFromFlags(flags);
@@ -587,6 +599,10 @@ int CmdRun(const Flags& flags) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
+  StatusOr<Corpus> corpus_or = ObtainCorpus(corpus_flags);
+  if (!corpus_or.ok()) return ReportError(corpus_or.status());
+  Corpus corpus = std::move(corpus_or).value();
+  FeaturePipeline pipeline = MakeDefaultPipeline(kind.value(), corpus);
 
   // The store retains everything by default; --store-gc keeps only this
   // run's pipeline fingerprint (drops records from other feature code).
@@ -716,12 +732,7 @@ int CmdSession(const Flags& flags) {
   StatusOr<EngineOptions> opts_or = MakeEngineOptionsFromFlags(flags);
   if (!opts_or.ok()) return ReportError(opts_or.status());
   EngineOptions opts = opts_or.value();
-  StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
-  if (!corpus_or.ok()) {
-    std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
-    return 1;
-  }
-  Corpus corpus = std::move(corpus_or).value();
+  const CorpusFlags corpus_flags = GetCorpusFlags(flags);
   bool warm = flags.GetBool("warm");
   bool use_cache = flags.GetBool("cache");
   size_t groups = static_cast<size_t>(flags.GetInt("groups", 32));
@@ -732,6 +743,9 @@ int CmdSession(const Flags& flags) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
+  StatusOr<Corpus> corpus_or = ObtainCorpus(corpus_flags);
+  if (!corpus_or.ok()) return ReportError(corpus_or.status());
+  Corpus corpus = std::move(corpus_or).value();
 
   // A session spans many pipeline fingerprints (one per revision), so it
   // always retains everything.
