@@ -41,9 +41,7 @@ EngineOptions BenchEngineOptions(uint64_t seed) {
   EngineOptions o;
   o.seed = seed;
   o.holdout_size = 400;
-  o.holdout_positive_fraction = 0.25;
   o.eval_every = 25;
-  o.metric = QualityMetric::kF1;
   return o;
 }
 

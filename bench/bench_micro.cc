@@ -24,9 +24,7 @@
 #include "ml/simd/simd_level.h"
 #include "ml/simd/sparse_kernels.h"
 #include "ml/sparse_vector.h"
-#include "text/hashing_vectorizer.h"
 #include "text/term_counts.h"
-#include "text/tokenizer.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -232,7 +230,7 @@ void BM_SimdRemapSparseView(benchmark::State& state,
 }
 
 // Unbalanced merge: a document-sized row dotted against a centroid-sized
-// row — the kNN/k-means shape, and the one run-skipping SIMD exists for
+// row — the k-means shape, and the one run-skipping SIMD exists for
 // (mismatch runs of ~20 on the dense side, retired 8/16 indices per vector
 // compare; balanced same-density merges have runs of ~2, where the kernels
 // fall back to their scalar probe and roughly tie).
@@ -369,77 +367,13 @@ void RegisterPerIsaKernelBenches() {
   }
 }
 
-// --- Text hot path: owned-string tokenize+vectorize vs the view path. ----
-
-std::string SyntheticDocument(size_t words) {
-  Rng rng(14);
-  static const char* kWords[] = {"zombie",  "feature",  "bandit", "input",
-                                 "select",  "corpus",   "group",  "reward",
-                                 "holdout", "pipeline", "sparse", "kernel"};
-  std::string text;
-  for (size_t i = 0; i < words; ++i) {
-    text += kWords[rng.NextBelow(sizeof(kWords) / sizeof(kWords[0]))];
-    text += (i % 11 == 0) ? ", " : " ";
-  }
-  return text;
-}
-
-// Document sizes mirror the sparse benches' nnz sweep: a short snippet, a
-// typical crawl page, and a long article.
-void BM_Tokenize(benchmark::State& state) {
-  Tokenizer tokenizer;
-  const std::string text =
-      SyntheticDocument(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tokenizer.Tokenize(text));
-  }
-}
-BENCHMARK(BM_Tokenize)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_TokenizeViews(benchmark::State& state) {
-  Tokenizer tokenizer;
-  const std::string text =
-      SyntheticDocument(static_cast<size_t>(state.range(0)));
-  TokenBuffer buffer;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tokenizer.TokenizeViews(text, &buffer));
-  }
-}
-BENCHMARK(BM_TokenizeViews)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_Vectorize(benchmark::State& state) {
-  Tokenizer tokenizer;
-  HashingVectorizer vectorizer(1 << 18, /*signed_hash=*/true);
-  const std::string text =
-      SyntheticDocument(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vectorizer.Transform(tokenizer.Tokenize(text)));
-  }
-}
-BENCHMARK(BM_Vectorize)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_VectorizeViews(benchmark::State& state) {
-  Tokenizer tokenizer;
-  HashingVectorizer vectorizer(1 << 18, /*signed_hash=*/true);
-  const std::string text =
-      SyntheticDocument(static_cast<size_t>(state.range(0)));
-  TokenBuffer buffer;
-  TermCounts scratch;
-  for (auto _ : state) {
-    vectorizer.TransformViews(tokenizer.TokenizeViews(text, &buffer),
-                              &scratch);
-    benchmark::DoNotOptimize(scratch);
-  }
-}
-BENCHMARK(BM_VectorizeViews)->Arg(100)->Arg(400)->Arg(1600);
-
 // --- Extraction path: the radix counting routine and the slicing-by-8
 // store CRC against the code they replaced, kept bench-local and noinline
 // for the same reason as the reference kernels above.
 
 // A pool of hashed documents: 480 Zipf-distributed token ids each, hashed
-// into an 8192-dimension space the way HashingVectorizer::TransformIds
-// does. Cycling distinct documents keeps the comparison sort's branches
+// into an 8192-dimension space the way HashingVectorizer::CountHashes
+// does for the bag of words. Cycling distinct documents keeps the comparison sort's branches
 // data-random, as they are on a real corpus.
 std::vector<std::vector<uint32_t>> HashedDocPool() {
   constexpr uint32_t kDim = 8192;
@@ -491,7 +425,7 @@ void BM_TermCounting(benchmark::State& state) {
     for (const auto& doc : pool) {
       std::vector<uint32_t> keys = doc;
       TermCounts counts;
-      CountIndices(&keys, nullptr, 8192 - 1, &counts);
+      CountIndices(&keys, 8192 - 1, &counts);
       benchmark::DoNotOptimize(counts);
     }
   }
@@ -640,11 +574,9 @@ void BM_ComputeSignature(benchmark::State& state) {
   WebCatOptions opts;
   opts.num_documents = 100;
   Corpus corpus = GenerateWebCatCorpus(opts);
-  SignatureConfig cfg;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ComputeSignature(corpus.doc(i % corpus.size()), cfg));
+    benchmark::DoNotOptimize(ComputeSignature(corpus.doc(i % corpus.size())));
     ++i;
   }
 }
@@ -784,14 +716,7 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
 void ExportKernelRatios(const JsonExportReporter& console,
                         bench::BenchReporter* reporter) {
   const std::pair<const char*, std::pair<const char*, const char*>> kPairs[] =
-      {{"ratio.tokenize_100", {"BM_Tokenize/100", "BM_TokenizeViews/100"}},
-       {"ratio.tokenize_400", {"BM_Tokenize/400", "BM_TokenizeViews/400"}},
-       {"ratio.tokenize_1600", {"BM_Tokenize/1600", "BM_TokenizeViews/1600"}},
-       {"ratio.vectorize_100", {"BM_Vectorize/100", "BM_VectorizeViews/100"}},
-       {"ratio.vectorize_400", {"BM_Vectorize/400", "BM_VectorizeViews/400"}},
-       {"ratio.vectorize_1600",
-        {"BM_Vectorize/1600", "BM_VectorizeViews/1600"}},
-       {"ratio.sparse_dot_sparse",
+      {{"ratio.sparse_dot_sparse",
         {"BM_RefSparseDotSparse/128", "BM_SparseDotSparse/128"}},
        {"ratio.sparse_dot_dense",
         {"BM_RefSparseDotDense/128", "BM_SparseDotDense/128"}},

@@ -4,15 +4,8 @@
 
 namespace zombie {
 
-ArmStats::ArmStats(size_t num_arms, ArmStatsOptions options)
-    : options_(options), num_active_(num_arms) {
+ArmStats::ArmStats(size_t num_arms) : arms_(num_arms), num_active_(num_arms) {
   ZCHECK_GE(num_arms, 1u);
-  ZCHECK_GT(options.discount, 0.0);
-  ZCHECK_LE(options.discount, 1.0);
-  arms_.reserve(num_arms);
-  for (size_t i = 0; i < num_arms; ++i) {
-    arms_.emplace_back(options.window, options.discount);
-  }
 }
 
 void ArmStats::Record(size_t arm, double reward) {
@@ -22,7 +15,6 @@ void ArmStats::Record(size_t arm, double reward) {
   ++total_pulls_;
   a.total_reward += reward;
   a.windowed.Add(reward);
-  a.discounted.Add(reward);
 }
 
 void ArmStats::Deactivate(size_t arm) {
@@ -34,7 +26,7 @@ void ArmStats::Deactivate(size_t arm) {
 }
 
 size_t ArmStats::AddArm() {
-  arms_.emplace_back(options_.window, options_.discount);
+  arms_.emplace_back();
   ++num_active_;
   return arms_.size() - 1;
 }
@@ -60,17 +52,8 @@ size_t ArmStats::pulls(size_t arm) const {
 double ArmStats::mean(size_t arm) const {
   ZCHECK_LT(arm, arms_.size());
   const Arm& a = arms_[arm];
-  if (a.pulls == 0) return options_.prior_mean;
-  if (options_.discount < 1.0) return a.discounted.mean();
-  if (options_.window > 0) return a.windowed.mean();
-  return a.total_reward / static_cast<double>(a.pulls);
-}
-
-double ArmStats::lifetime_mean(size_t arm) const {
-  ZCHECK_LT(arm, arms_.size());
-  const Arm& a = arms_[arm];
-  if (a.pulls == 0) return options_.prior_mean;
-  return a.total_reward / static_cast<double>(a.pulls);
+  if (a.pulls == 0) return kPriorMean;
+  return a.windowed.mean();
 }
 
 double ArmStats::total_reward(size_t arm) const {

@@ -8,27 +8,21 @@
 
 namespace zombie {
 
-/// How per-arm reward estimates are aggregated.
-struct ArmStatsOptions {
-  /// Sliding-window size for the reward mean; 0 disables windowing.
-  /// Non-stationarity is intrinsic here: a group's usefulness *decays* as
-  /// its good items get consumed, so a recency-weighted estimate tracks
-  /// the current value of an arm much better than the lifetime mean.
-  size_t window = 50;
-  /// Exponential discount per observation (1.0 = off). When both window
-  /// and discount are set, the discounted mean wins.
-  double discount = 1.0;
-  /// Estimate reported for never-pulled arms (optimistic initialization:
-  /// policies that exploit means will still try everything once).
-  double prior_mean = 1.0;
-};
-
 /// Book-keeping shared by all bandit policies: pulls, rewards, and the
 /// active/exhausted flag per arm (an arm dies when its index group runs
 /// out of unprocessed items).
 class ArmStats {
  public:
-  ArmStats(size_t num_arms, ArmStatsOptions options = {});
+  /// Sliding-window size of the reward mean. Non-stationarity is intrinsic
+  /// here: a group's usefulness *decays* as its good items get consumed, so
+  /// a recency-weighted estimate tracks the current value of an arm much
+  /// better than the lifetime mean.
+  static constexpr size_t kWindow = 50;
+  /// Estimate reported for never-pulled arms (optimistic initialization:
+  /// policies that exploit means will still try everything once).
+  static constexpr double kPriorMean = 1.0;
+
+  explicit ArmStats(size_t num_arms);
 
   /// Records a reward for an arm (also counts the pull).
   void Record(size_t arm, double reward);
@@ -52,28 +46,19 @@ class ArmStats {
   size_t total_pulls() const { return total_pulls_; }
 
   size_t pulls(size_t arm) const;
-  /// Recency-weighted reward estimate per the options (prior_mean before
-  /// the first pull).
+  /// Mean of the arm's last kWindow rewards (kPriorMean before the first
+  /// pull).
   double mean(size_t arm) const;
-  /// Plain lifetime mean (prior_mean before the first pull).
-  double lifetime_mean(size_t arm) const;
   double total_reward(size_t arm) const;
-
-  const ArmStatsOptions& options() const { return options_; }
 
  private:
   struct Arm {
     size_t pulls = 0;
     double total_reward = 0.0;
-    WindowedMean windowed;
-    DiscountedMean discounted;
+    WindowedMean windowed{kWindow};
     bool active = true;
-
-    Arm(size_t window, double discount)
-        : windowed(window), discounted(discount) {}
   };
 
-  ArmStatsOptions options_;
   std::vector<Arm> arms_;
   size_t num_active_;
   size_t total_pulls_ = 0;

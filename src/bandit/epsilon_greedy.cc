@@ -1,6 +1,5 @@
 #include "bandit/epsilon_greedy.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "util/logging.h"
@@ -8,57 +7,33 @@
 
 namespace zombie {
 
-EpsilonGreedyPolicy::EpsilonGreedyPolicy(EpsilonGreedyOptions options)
-    : options_(options), current_epsilon_(options.epsilon) {
-  ZCHECK_GE(options.epsilon, 0.0);
-  ZCHECK_LE(options.epsilon, 1.0);
-  ZCHECK_GT(options.decay, 0.0);
-  ZCHECK_LE(options.decay, 1.0);
-}
-
-void EpsilonGreedyPolicy::Reset(size_t /*num_arms*/) {
-  current_epsilon_ = options_.epsilon;
-}
-
 size_t EpsilonGreedyPolicy::SelectArm(const ArmStats& stats, Rng* rng) {
   ZCHECK_GT(stats.num_active(), 0u);
-
-  size_t choice;
   size_t unpulled = bandit_internal::FirstUnpulledActive(stats);
-  if (unpulled < stats.num_arms()) {
-    choice = unpulled;
-  } else if (rng->NextBernoulli(current_epsilon_)) {
-    choice = bandit_internal::PickUniformActive(stats, rng);
-  } else {
-    double best = -1.0;
-    size_t best_arm = stats.num_arms();
-    for (size_t a = 0; a < stats.num_arms(); ++a) {
-      if (!stats.active(a)) continue;
-      double m = stats.mean(a);
-      if (m > best) {
-        best = m;
-        best_arm = a;
-      }
+  if (unpulled < stats.num_arms()) return unpulled;
+  if (rng->NextBernoulli(kEpsilon)) {
+    return bandit_internal::PickUniformActive(stats, rng);
+  }
+  double best = -1.0;
+  size_t best_arm = stats.num_arms();
+  for (size_t a = 0; a < stats.num_arms(); ++a) {
+    if (!stats.active(a)) continue;
+    double m = stats.mean(a);
+    if (m > best) {
+      best = m;
+      best_arm = a;
     }
-    ZCHECK_LT(best_arm, stats.num_arms());
-    choice = best_arm;
   }
-  if (options_.decay < 1.0) {
-    current_epsilon_ =
-        std::max(options_.min_epsilon, current_epsilon_ * options_.decay);
-  }
-  return choice;
+  ZCHECK_LT(best_arm, stats.num_arms());
+  return best_arm;
 }
 
 std::string EpsilonGreedyPolicy::name() const {
-  if (options_.decay < 1.0) {
-    return StrFormat("egreedy(%.2f,decay)", options_.epsilon);
-  }
-  return StrFormat("egreedy(%.2f)", options_.epsilon);
+  return StrFormat("egreedy(%.2f)", kEpsilon);
 }
 
 std::unique_ptr<BanditPolicy> EpsilonGreedyPolicy::Clone() const {
-  return std::make_unique<EpsilonGreedyPolicy>(options_);
+  return std::make_unique<EpsilonGreedyPolicy>();
 }
 
 }  // namespace zombie

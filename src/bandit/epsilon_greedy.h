@@ -5,36 +5,19 @@
 
 namespace zombie {
 
-/// Hyperparameters for ε-greedy.
-struct EpsilonGreedyOptions {
-  /// Exploration probability.
-  double epsilon = 0.1;
-  /// Per-step multiplicative decay of epsilon (1.0 = constant ε). Decay
-  /// suits stationary problems; the Zombie loop is non-stationary, so the
-  /// default keeps ε constant and relies on windowed means.
-  double decay = 1.0;
-  /// Lower bound for decayed epsilon.
-  double min_epsilon = 0.01;
-};
-
 /// ε-greedy over windowed reward means — the paper's workhorse policy.
 /// Unpulled arms are tried first (optimistic initialization); then, with
 /// probability ε, a uniform active arm; otherwise the active arm with the
-/// best recency-weighted mean.
+/// best recency-weighted mean. ε stays constant: the Zombie loop is
+/// non-stationary, so the policy relies on windowed means, not on a decay.
 class EpsilonGreedyPolicy : public BanditPolicy {
  public:
-  explicit EpsilonGreedyPolicy(EpsilonGreedyOptions options = {});
+  /// Exploration probability ε.
+  static constexpr double kEpsilon = 0.1;
 
-  void Reset(size_t num_arms) override;
   size_t SelectArm(const ArmStats& stats, Rng* rng) override;
   std::string name() const override;
   std::unique_ptr<BanditPolicy> Clone() const override;
-
-  double current_epsilon() const { return current_epsilon_; }
-
- private:
-  EpsilonGreedyOptions options_;
-  double current_epsilon_;
 };
 
 }  // namespace zombie

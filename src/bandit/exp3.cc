@@ -8,11 +8,6 @@
 
 namespace zombie {
 
-Exp3Policy::Exp3Policy(Exp3Options options) : options_(options) {
-  ZCHECK_GT(options.gamma, 0.0);
-  ZCHECK_LE(options.gamma, 1.0);
-}
-
 void Exp3Policy::Reset(size_t num_arms) {
   weights_.assign(num_arms, 1.0);
   last_probability_ = 1.0;
@@ -48,8 +43,8 @@ size_t Exp3Policy::SelectArm(const ArmStats& stats, Rng* rng) {
   double k = static_cast<double>(active);
   for (size_t a = 0; a < weights_.size(); ++a) {
     if (!stats.active(a)) continue;
-    probs[a] = (1.0 - options_.gamma) * weights_[a] / total +
-               options_.gamma / k;
+    probs[a] = (1.0 - kGamma) * weights_[a] / total +
+               kGamma / k;
   }
   size_t arm = rng->NextDiscrete(probs);
   if (arm >= probs.size()) arm = bandit_internal::PickUniformActive(stats, rng);
@@ -74,8 +69,8 @@ void Exp3Policy::ScoreArms(const ArmStats& stats,
   double k = static_cast<double>(active);
   for (size_t a = 0; a < weights_.size(); ++a) {
     if (!stats.active(a)) continue;
-    (*out)[a] = (1.0 - options_.gamma) * weights_[a] / total +
-                options_.gamma / k;
+    (*out)[a] = (1.0 - kGamma) * weights_[a] / total +
+                kGamma / k;
   }
 }
 
@@ -85,7 +80,7 @@ void Exp3Policy::Observe(size_t arm, double reward) {
   double r = std::clamp(reward, 0.0, 1.0);
   double estimate = r / last_probability_;
   double k = static_cast<double>(std::max<size_t>(num_active_last_, 1));
-  weights_[arm] *= std::exp(options_.gamma * estimate / k);
+  weights_[arm] *= std::exp(kGamma * estimate / k);
 }
 
 void Exp3Policy::OnArmAdded(size_t arm) {
@@ -96,7 +91,7 @@ void Exp3Policy::OnArmAdded(size_t arm) {
 }
 
 std::unique_ptr<BanditPolicy> Exp3Policy::Clone() const {
-  return std::make_unique<Exp3Policy>(options_);
+  return std::make_unique<Exp3Policy>();
 }
 
 }  // namespace zombie

@@ -10,14 +10,10 @@ namespace zombie {
 /// Exp3 (Auer et al.) for adversarial/non-stationary rewards: exponential
 /// weights with importance-weighted updates. Rewards must be in [0,1]
 /// (clamped). Weight overflow is prevented by periodic renormalization.
-struct Exp3Options {
-  /// Exploration mix gamma in (0,1].
-  double gamma = 0.1;
-};
-
 class Exp3Policy : public BanditPolicy {
  public:
-  explicit Exp3Policy(Exp3Options options = {});
+  /// Exploration mix gamma in (0,1].
+  static constexpr double kGamma = 0.1;
 
   void Reset(size_t num_arms) override;
   size_t SelectArm(const ArmStats& stats, Rng* rng) override;
@@ -34,7 +30,6 @@ class Exp3Policy : public BanditPolicy {
   std::unique_ptr<BanditPolicy> Clone() const override;
 
  private:
-  Exp3Options options_;
   std::vector<double> weights_;
   /// Probability the last SelectArm assigned to the arm it returned; needed
   /// by the importance-weighted update in Observe.

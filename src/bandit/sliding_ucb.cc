@@ -9,12 +9,6 @@
 
 namespace zombie {
 
-SlidingUcbPolicy::SlidingUcbPolicy(SlidingUcbOptions options)
-    : options_(options) {
-  ZCHECK_GE(options.window, 2u);
-  ZCHECK_GT(options.exploration, 0.0);
-}
-
 void SlidingUcbPolicy::Reset(size_t num_arms) {
   history_.clear();
   window_pulls_.assign(num_arms, 0);
@@ -32,7 +26,7 @@ size_t SlidingUcbPolicy::SelectArm(const ArmStats& stats, Rng* /*rng*/) {
   }
 
   double horizon = static_cast<double>(
-      std::min<size_t>(history_.size() + 1, options_.window));
+      std::min<size_t>(history_.size() + 1, kWindow));
   double log_h = std::log(std::max(horizon, 2.0));
   double best = -1.0;
   size_t best_arm = stats.num_arms();
@@ -40,7 +34,7 @@ size_t SlidingUcbPolicy::SelectArm(const ArmStats& stats, Rng* /*rng*/) {
     if (!stats.active(a)) continue;
     double n = static_cast<double>(window_pulls_[a]);
     double mean = window_reward_[a] / n;
-    double index = mean + options_.exploration * std::sqrt(log_h / n);
+    double index = mean + kExploration * std::sqrt(log_h / n);
     if (index > best) {
       best = index;
       best_arm = a;
@@ -55,7 +49,7 @@ void SlidingUcbPolicy::ScoreArms(const ArmStats& stats,
   out->assign(stats.num_arms(), 0.0);
   if (window_pulls_.size() != stats.num_arms()) return;  // before Reset()
   double horizon = static_cast<double>(
-      std::min<size_t>(history_.size() + 1, options_.window));
+      std::min<size_t>(history_.size() + 1, kWindow));
   double log_h = std::log(std::max(horizon, 2.0));
   for (size_t a = 0; a < stats.num_arms(); ++a) {
     if (!stats.active(a)) continue;
@@ -65,7 +59,7 @@ void SlidingUcbPolicy::ScoreArms(const ArmStats& stats,
     }
     double n = static_cast<double>(window_pulls_[a]);
     (*out)[a] = window_reward_[a] / n +
-                options_.exploration * std::sqrt(log_h / n);
+                kExploration * std::sqrt(log_h / n);
   }
 }
 
@@ -74,7 +68,7 @@ void SlidingUcbPolicy::Observe(size_t arm, double reward) {
   history_.emplace_back(arm, reward);
   ++window_pulls_[arm];
   window_reward_[arm] += reward;
-  if (history_.size() > options_.window) {
+  if (history_.size() > kWindow) {
     auto [old_arm, old_reward] = history_.front();
     history_.pop_front();
     --window_pulls_[old_arm];
@@ -89,11 +83,11 @@ void SlidingUcbPolicy::OnArmAdded(size_t arm) {
 }
 
 std::string SlidingUcbPolicy::name() const {
-  return StrFormat("swucb(%zu)", options_.window);
+  return StrFormat("swucb(%zu)", kWindow);
 }
 
 std::unique_ptr<BanditPolicy> SlidingUcbPolicy::Clone() const {
-  return std::make_unique<SlidingUcbPolicy>(options_);
+  return std::make_unique<SlidingUcbPolicy>();
 }
 
 size_t SlidingUcbPolicy::WindowPulls(size_t arm) const {

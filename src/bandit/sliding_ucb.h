@@ -9,19 +9,15 @@
 namespace zombie {
 
 /// Sliding-window UCB (Garivier & Moulines): UCB indices computed only
-/// over the last `window` pulls across all arms, so the policy tracks
+/// over the last kWindow pulls across all arms, so the policy tracks
 /// non-stationary arm values — a natural fit for the Zombie loop, where a
 /// group's usefulness decays as its good items are consumed.
-struct SlidingUcbOptions {
-  /// Horizon of pulls considered (across all arms).
-  size_t window = 200;
-  /// Exploration coefficient.
-  double exploration = 0.6;
-};
-
 class SlidingUcbPolicy : public BanditPolicy {
  public:
-  explicit SlidingUcbPolicy(SlidingUcbOptions options = {});
+  /// Horizon of pulls considered (across all arms).
+  static constexpr size_t kWindow = 200;
+  /// Exploration coefficient.
+  static constexpr double kExploration = 0.6;
 
   void Reset(size_t num_arms) override;
   size_t SelectArm(const ArmStats& stats, Rng* rng) override;
@@ -41,8 +37,7 @@ class SlidingUcbPolicy : public BanditPolicy {
   size_t WindowPulls(size_t arm) const;
 
  private:
-  SlidingUcbOptions options_;
-  /// (arm, reward) of the last `window` pulls.
+  /// (arm, reward) of the last kWindow pulls.
   std::deque<std::pair<size_t, double>> history_;
   std::vector<size_t> window_pulls_;
   std::vector<double> window_reward_;

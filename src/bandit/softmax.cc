@@ -10,10 +10,6 @@
 
 namespace zombie {
 
-SoftmaxPolicy::SoftmaxPolicy(SoftmaxOptions options) : options_(options) {
-  ZCHECK_GT(options.temperature, 0.0);
-}
-
 size_t SoftmaxPolicy::SelectArm(const ArmStats& stats, Rng* rng) {
   ZCHECK_GT(stats.num_active(), 0u);
   // Stabilize exp() by subtracting the max mean.
@@ -24,7 +20,7 @@ size_t SoftmaxPolicy::SelectArm(const ArmStats& stats, Rng* rng) {
   std::vector<double> probs(stats.num_arms(), 0.0);
   for (size_t a = 0; a < stats.num_arms(); ++a) {
     if (!stats.active(a)) continue;
-    probs[a] = std::exp((stats.mean(a) - max_mean) / options_.temperature);
+    probs[a] = std::exp((stats.mean(a) - max_mean) / kTemperature);
   }
   size_t arm = rng->NextDiscrete(probs);
   if (arm >= probs.size()) arm = bandit_internal::PickUniformActive(stats, rng);
@@ -41,7 +37,7 @@ void SoftmaxPolicy::ScoreArms(const ArmStats& stats,
   double total = 0.0;
   for (size_t a = 0; a < stats.num_arms(); ++a) {
     if (!stats.active(a)) continue;
-    (*out)[a] = std::exp((stats.mean(a) - max_mean) / options_.temperature);
+    (*out)[a] = std::exp((stats.mean(a) - max_mean) / kTemperature);
     total += (*out)[a];
   }
   if (total <= 0.0) return;
@@ -49,11 +45,11 @@ void SoftmaxPolicy::ScoreArms(const ArmStats& stats,
 }
 
 std::string SoftmaxPolicy::name() const {
-  return StrFormat("softmax(%.2f)", options_.temperature);
+  return StrFormat("softmax(%.2f)", kTemperature);
 }
 
 std::unique_ptr<BanditPolicy> SoftmaxPolicy::Clone() const {
-  return std::make_unique<SoftmaxPolicy>(options_);
+  return std::make_unique<SoftmaxPolicy>();
 }
 
 }  // namespace zombie

@@ -7,14 +7,10 @@ namespace zombie {
 
 /// Boltzmann exploration: P(arm) ∝ exp(mean / temperature) over active
 /// arms, using the windowed means from ArmStats.
-struct SoftmaxOptions {
-  /// Lower temperature → greedier.
-  double temperature = 0.1;
-};
-
 class SoftmaxPolicy : public BanditPolicy {
  public:
-  explicit SoftmaxPolicy(SoftmaxOptions options = {});
+  /// Lower temperature → greedier.
+  static constexpr double kTemperature = 0.1;
 
   size_t SelectArm(const ArmStats& stats, Rng* rng) override;
   /// Normalized Boltzmann choice probabilities over active arms.
@@ -22,9 +18,6 @@ class SoftmaxPolicy : public BanditPolicy {
       const override;
   std::string name() const override;
   std::unique_ptr<BanditPolicy> Clone() const override;
-
- private:
-  SoftmaxOptions options_;
 };
 
 }  // namespace zombie

@@ -7,13 +7,6 @@
 
 namespace zombie {
 
-ThompsonPolicy::ThompsonPolicy(ThompsonOptions options) : options_(options) {
-  ZCHECK_GT(options.prior_alpha, 0.0);
-  ZCHECK_GT(options.prior_beta, 0.0);
-  ZCHECK_GT(options.discount, 0.0);
-  ZCHECK_LE(options.discount, 1.0);
-}
-
 void ThompsonPolicy::Reset(size_t num_arms) {
   success_.assign(num_arms, 0.0);
   failure_.assign(num_arms, 0.0);
@@ -26,8 +19,8 @@ size_t ThompsonPolicy::SelectArm(const ArmStats& stats, Rng* rng) {
   size_t best_arm = stats.num_arms();
   for (size_t a = 0; a < stats.num_arms(); ++a) {
     if (!stats.active(a)) continue;
-    double draw = rng->NextBeta(options_.prior_alpha + success_[a],
-                                options_.prior_beta + failure_[a]);
+    double draw = rng->NextBeta(kPriorAlpha + success_[a],
+                                kPriorBeta + failure_[a]);
     if (draw > best) {
       best = draw;
       best_arm = a;
@@ -43,8 +36,8 @@ void ThompsonPolicy::ScoreArms(const ArmStats& stats,
   if (success_.size() != stats.num_arms()) return;  // before Reset()
   for (size_t a = 0; a < stats.num_arms(); ++a) {
     if (!stats.active(a)) continue;
-    double alpha = options_.prior_alpha + success_[a];
-    double beta = options_.prior_beta + failure_[a];
+    double alpha = kPriorAlpha + success_[a];
+    double beta = kPriorBeta + failure_[a];
     (*out)[a] = alpha / (alpha + beta);
   }
 }
@@ -52,11 +45,9 @@ void ThompsonPolicy::ScoreArms(const ArmStats& stats,
 void ThompsonPolicy::Observe(size_t arm, double reward) {
   ZCHECK_LT(arm, success_.size());
   double r = std::clamp(reward, 0.0, 1.0);
-  if (options_.discount < 1.0) {
-    for (size_t a = 0; a < success_.size(); ++a) {
-      success_[a] *= options_.discount;
-      failure_[a] *= options_.discount;
-    }
+  for (size_t a = 0; a < success_.size(); ++a) {
+    success_[a] *= kDiscount;
+    failure_[a] *= kDiscount;
   }
   success_[arm] += r;
   failure_[arm] += 1.0 - r;
@@ -69,7 +60,7 @@ void ThompsonPolicy::OnArmAdded(size_t arm) {
 }
 
 std::unique_ptr<BanditPolicy> ThompsonPolicy::Clone() const {
-  return std::make_unique<ThompsonPolicy>(options_);
+  return std::make_unique<ThompsonPolicy>();
 }
 
 }  // namespace zombie

@@ -10,17 +10,14 @@ namespace zombie {
 /// Thompson sampling with Beta posteriors over [0,1]-valued rewards.
 /// Fractional rewards contribute fractional pseudo-counts. A per-step
 /// discount keeps the posterior tracking non-stationary group value.
-struct ThompsonOptions {
-  double prior_alpha = 1.0;
-  double prior_beta = 1.0;
-  /// Multiplied into every arm's pseudo-counts at each Observe; < 1.0
-  /// forgets old evidence (0.99 halves evidence every ~69 steps).
-  double discount = 0.995;
-};
-
 class ThompsonPolicy : public BanditPolicy {
  public:
-  explicit ThompsonPolicy(ThompsonOptions options = {});
+  /// Beta(kPriorAlpha, kPriorBeta) prior of every arm.
+  static constexpr double kPriorAlpha = 1.0;
+  static constexpr double kPriorBeta = 1.0;
+  /// Multiplied into every arm's pseudo-counts at each Observe: forgets
+  /// old evidence, halving it every ~138 steps.
+  static constexpr double kDiscount = 0.995;
 
   void Reset(size_t num_arms) override;
   size_t SelectArm(const ArmStats& stats, Rng* rng) override;
@@ -36,7 +33,6 @@ class ThompsonPolicy : public BanditPolicy {
   std::unique_ptr<BanditPolicy> Clone() const override;
 
  private:
-  ThompsonOptions options_;
   std::vector<double> success_;  // pseudo successes per arm
   std::vector<double> failure_;  // pseudo failures per arm
 };

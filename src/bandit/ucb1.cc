@@ -8,10 +8,6 @@
 
 namespace zombie {
 
-Ucb1Policy::Ucb1Policy(Ucb1Options options) : options_(options) {
-  ZCHECK_GT(options.exploration, 0.0);
-}
-
 size_t Ucb1Policy::SelectArm(const ArmStats& stats, Rng* /*rng*/) {
   ZCHECK_GT(stats.num_active(), 0u);
   size_t unpulled = bandit_internal::FirstUnpulledActive(stats);
@@ -22,7 +18,7 @@ size_t Ucb1Policy::SelectArm(const ArmStats& stats, Rng* /*rng*/) {
   size_t best_arm = stats.num_arms();
   for (size_t a = 0; a < stats.num_arms(); ++a) {
     if (!stats.active(a)) continue;
-    double bonus = options_.exploration *
+    double bonus = kExploration *
                    std::sqrt(2.0 * log_n /
                              static_cast<double>(stats.pulls(a)));
     double index = stats.mean(a) + bonus;
@@ -46,18 +42,18 @@ void Ucb1Policy::ScoreArms(const ArmStats& stats,
       continue;
     }
     (*out)[a] = stats.mean(a) +
-                options_.exploration *
+                kExploration *
                     std::sqrt(2.0 * log_n /
                               static_cast<double>(stats.pulls(a)));
   }
 }
 
 std::string Ucb1Policy::name() const {
-  return StrFormat("ucb1(%.2f)", options_.exploration);
+  return StrFormat("ucb1(%.2f)", kExploration);
 }
 
 std::unique_ptr<BanditPolicy> Ucb1Policy::Clone() const {
-  return std::make_unique<Ucb1Policy>(options_);
+  return std::make_unique<Ucb1Policy>();
 }
 
 }  // namespace zombie

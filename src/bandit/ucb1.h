@@ -7,15 +7,10 @@ namespace zombie {
 
 /// UCB1 (Auer et al.): argmax of windowed mean + c * sqrt(2 ln N / n_i).
 /// Unpulled active arms have an infinite index and are tried first.
-struct Ucb1Options {
-  /// Exploration coefficient; 1.0 is the textbook setting, smaller values
-  /// exploit harder (useful when rewards are sparse {0,1}).
-  double exploration = 1.0;
-};
-
 class Ucb1Policy : public BanditPolicy {
  public:
-  explicit Ucb1Policy(Ucb1Options options = {});
+  /// Exploration coefficient c (the textbook setting).
+  static constexpr double kExploration = 1.0;
 
   size_t SelectArm(const ArmStats& stats, Rng* rng) override;
   /// UCB indices (mean + exploration bonus); unpulled active arms report
@@ -24,9 +19,6 @@ class Ucb1Policy : public BanditPolicy {
       const override;
   std::string name() const override;
   std::unique_ptr<BanditPolicy> Clone() const override;
-
- private:
-  Ucb1Options options_;
 };
 
 }  // namespace zombie

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "ml/feature_pruner.h"
-#include "ml/metrics.h"
 #include "util/status.h"
 
 namespace zombie {
@@ -24,13 +23,11 @@ struct StopRule {
   /// window and floor are fixed in core/engine.cc).
   bool plateau_enabled = true;
   /// Stop when the quality estimate has clearly peaked: every one of the
-  /// last `decline_window` evaluations sat more than `decline_margin`
-  /// below the best quality seen. Recency-sensitive learners (SGD) drift
+  /// last 12 evaluations sat more than 0.08 below the best quality seen
+  /// (fixed in core/engine.cc). Recency-sensitive learners (SGD) drift
   /// once the informative groups are drained; without this rule such runs
   /// never "converge" because the curve declines instead of flattening.
   bool decline_enabled = true;
-  size_t decline_window = 12;
-  double decline_margin = 0.08;
   /// Never stop (except on budget/exhaustion) before this many items.
   size_t min_items = 300;
 };
@@ -43,17 +40,14 @@ struct EngineOptions {
   /// `eval_every` processed items.
   size_t eval_every = 25;
   /// Number of corpus items sampled (and featurized up front) as the
-  /// quality-estimation holdout. Excluded from training forever.
+  /// quality-estimation holdout. Excluded from training forever. The
+  /// holdout is stratified to a fixed 25% positive share (core/engine.cc):
+  /// rare-class F1 needs enough positives to be measurable (a 5%-positive
+  /// holdout of 400 items has 20 positives, so F1 moves in ~5% jumps and
+  /// plateau detection misfires).
   size_t holdout_size = 400;
-  /// Target positive-class share of the holdout. Rare-class F1 needs
-  /// enough positives to be measurable (a 5%-positive holdout of 400 items
-  /// has 20 positives, so F1 moves in ~5% jumps and plateau detection
-  /// misfires). Stratifying the holdout stabilizes the quality signal; set
-  /// to a negative value for natural (unstratified) sampling.
-  double holdout_positive_fraction = 0.25;
   /// Probe subset size used by probe-requiring rewards (improvement).
   size_t probe_size = 50;
-  QualityMetric metric = QualityMetric::kF1;
   /// Evaluate holdout quality at the F1-optimal score threshold instead of
   /// thresholding at zero (EvaluateLearnerTuned). Decouples the quality
   /// signal from class-prior miscalibration caused by skewed selection.

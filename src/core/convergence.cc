@@ -2,27 +2,19 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace zombie {
-
-ConvergenceDetector::ConvergenceDetector(ConvergenceOptions options)
-    : options_(options) {
-  ZCHECK_GE(options.window, 2u);
-  ZCHECK_GE(options.epsilon, 0.0);
-}
 
 void ConvergenceDetector::Add(double quality) {
   ++total_;
   recent_.push_back(quality);
-  if (recent_.size() > options_.window) recent_.pop_front();
+  if (recent_.size() > kWindow) recent_.pop_front();
 }
 
 bool ConvergenceDetector::converged() const {
-  if (recent_.size() < options_.window) return false;
+  if (recent_.size() < kWindow) return false;
   double lo = *std::min_element(recent_.begin(), recent_.end());
   double hi = *std::max_element(recent_.begin(), recent_.end());
-  return hi - lo <= options_.epsilon;
+  return hi - lo <= kEpsilon;
 }
 
 void ConvergenceDetector::Reset() {

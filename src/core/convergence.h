@@ -7,36 +7,29 @@
 namespace zombie {
 
 /// Plateau detection over the quality-evaluation stream: the run stops
-/// when the last `window` evaluations vary by at most `epsilon` — the
+/// when the last kWindow evaluations vary by at most kEpsilon — the
 /// engineer's quality estimate has converged, so processing more inputs is
 /// wasted time (the paper's early-stopping rule).
-struct ConvergenceOptions {
-  /// Number of consecutive evaluations the plateau must span (>= 2).
-  size_t window = 10;
-  /// Max-minus-min quality spread tolerated inside the window. The default
-  /// matches the granularity of F1 measured on a few-hundred-item holdout.
-  double epsilon = 0.01;
-};
-
 class ConvergenceDetector {
  public:
-  explicit ConvergenceDetector(ConvergenceOptions options = {});
+  /// Number of consecutive evaluations the plateau must span.
+  static constexpr size_t kWindow = 10;
+  /// Max-minus-min quality spread tolerated inside the window: the
+  /// granularity of F1 measured on a few-hundred-item holdout.
+  static constexpr double kEpsilon = 0.01;
 
   /// Feeds the next quality evaluation.
   void Add(double quality);
 
   /// True once a full window of near-constant quality has been seen.
-  /// Never true before `window` observations.
+  /// Never true before kWindow observations.
   bool converged() const;
 
   size_t num_observations() const { return total_; }
 
   void Reset();
 
-  const ConvergenceOptions& options() const { return options_; }
-
  private:
-  ConvergenceOptions options_;
   std::deque<double> recent_;
   size_t total_ = 0;
 };

@@ -61,6 +61,14 @@ int32_t BinaryLabel(int32_t raw) { return raw == 1 ? 1 : 0; }
 /// class yet, not that it has converged.
 constexpr double kPlateauMinQuality = 0.02;
 
+/// The decline stop: this many consecutive evaluations more than the
+/// margin below the peak quality.
+constexpr size_t kDeclineWindow = 12;
+constexpr double kDeclineMargin = 0.08;
+
+/// Positive-class share the holdout is stratified to.
+constexpr double kHoldoutPositiveFraction = 0.25;
+
 }  // namespace
 
 RunResult ZombieEngine::Run(const RunSpec& spec) const {
@@ -185,43 +193,38 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
     Rng holdout_rng = rng.Fork();
     holdout_rng.Shuffle(&ids);
-    if (options_.holdout_positive_fraction >= 0.0) {
-      // Stratified: walk the shuffled order taking positives/negatives
-      // until each quota fills (falling back to whatever remains). Never
-      // take more than half of the corpus's positives — on very skewed
-      // corpora the holdout must not starve training of the rare class.
-      size_t corpus_positives = 0;
-      for (size_t i = 0; i < base_size; ++i) {
-        corpus_positives += corpus_->doc(i).label == 1;
-      }
-      size_t want_pos = static_cast<size_t>(
-          options_.holdout_positive_fraction *
-          static_cast<double>(holdout_size));
-      want_pos = std::min(want_pos, corpus_positives / 2);
-      size_t want_neg = holdout_size - want_pos;
-      std::vector<uint32_t> chosen;
-      std::vector<uint32_t> leftovers;
-      for (uint32_t id : ids) {
-        bool positive = corpus_->doc(id).label == 1;
-        if (positive && want_pos > 0) {
-          chosen.push_back(id);
-          --want_pos;
-        } else if (!positive && want_neg > 0) {
-          chosen.push_back(id);
-          --want_neg;
-        } else {
-          leftovers.push_back(id);
-        }
-        if (want_pos == 0 && want_neg == 0) break;
-      }
-      for (uint32_t id : leftovers) {
-        if (chosen.size() >= holdout_size) break;
-        chosen.push_back(id);
-      }
-      ids = std::move(chosen);
-    } else {
-      ids.resize(holdout_size);
+    // Stratified: walk the shuffled order taking positives/negatives
+    // until each quota fills (falling back to whatever remains). Never
+    // take more than half of the corpus's positives — on very skewed
+    // corpora the holdout must not starve training of the rare class.
+    size_t corpus_positives = 0;
+    for (size_t i = 0; i < base_size; ++i) {
+      corpus_positives += corpus_->doc(i).label == 1;
     }
+    size_t want_pos = static_cast<size_t>(
+        kHoldoutPositiveFraction * static_cast<double>(holdout_size));
+    want_pos = std::min(want_pos, corpus_positives / 2);
+    size_t want_neg = holdout_size - want_pos;
+    std::vector<uint32_t> chosen;
+    std::vector<uint32_t> leftovers;
+    for (uint32_t id : ids) {
+      bool positive = corpus_->doc(id).label == 1;
+      if (positive && want_pos > 0) {
+        chosen.push_back(id);
+        --want_pos;
+      } else if (!positive && want_neg > 0) {
+        chosen.push_back(id);
+        --want_neg;
+      } else {
+        leftovers.push_back(id);
+      }
+      if (want_pos == 0 && want_neg == 0) break;
+    }
+    for (uint32_t id : leftovers) {
+      if (chosen.size() >= holdout_size) break;
+      chosen.push_back(id);
+    }
+    ids = std::move(chosen);
     for (uint32_t id : ids) grouped.MarkProcessed(id);
 
     for (uint32_t id : ids) {
@@ -418,11 +421,11 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     CurvePoint p;
     p.items_processed = items;
     p.virtual_micros = clock.NowMicros();
-    p.quality = QualityOf(m, options_.metric);
+    p.quality = m.f1;
     p.metrics = m;
     result.curve.Add(p);
     plateau.Add(p.quality);
-    if (p.quality < peak_quality - stop.decline_margin) {
+    if (p.quality < peak_quality - kDeclineMargin) {
       ++evals_below_peak;
     } else {
       evals_below_peak = 0;
@@ -431,11 +434,11 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     return p.quality;
   };
 
-  // Probe quality uses AUC regardless of the run's reported metric: the
-  // thresholded metrics almost never move for a single update, so their
-  // deltas would starve the improvement reward of signal.
+  // Probe quality uses AUC, not the run's F1: thresholded metrics almost
+  // never move for a single update, so their deltas would starve the
+  // improvement reward of signal.
   auto probe_quality = [&]() {
-    return QualityOf(EvaluateLearner(*learner, probe), QualityMetric::kAuc);
+    return EvaluateLearner(*learner, probe).auc;
   };
   // Probe quality of the current model, carried from one pull's post-update
   // measurement to the next pull's pre-update one: nothing between the two
@@ -599,7 +602,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
         result.stop_reason = StopReason::kPlateau;
         stopped = true;
       } else if (stop.decline_enabled && items >= stop.min_items &&
-                 evals_below_peak >= stop.decline_window) {
+                 evals_below_peak >= kDeclineWindow) {
         result.stop_reason = StopReason::kDecline;
         stopped = true;
       }
@@ -621,7 +624,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   // The last curve point was scored at exactly `items` on the final
   // learner state and holdout, so it is the final evaluation.
   result.final_metrics = result.curve.point(result.curve.size() - 1).metrics;
-  result.final_quality = QualityOf(result.final_metrics, options_.metric);
+  result.final_quality = result.final_metrics.f1;
   result.wall_micros = wall.ElapsedMicros();
 
   // grouped.num_groups(), not the base count: streaming may have opened

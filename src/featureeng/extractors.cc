@@ -17,8 +17,7 @@ namespace zombie {
 HashedBagOfWordsExtractor::HashedBagOfWordsExtractor(uint32_t dimension,
                                                      bool sublinear_tf,
                                                      uint64_t salt)
-    : vectorizer_(dimension, /*signed_hash=*/false, salt),
-      sublinear_tf_(sublinear_tf) {}
+    : vectorizer_(dimension, salt), sublinear_tf_(sublinear_tf) {}
 
 namespace {
 
@@ -68,14 +67,16 @@ std::string HashedBagOfWordsExtractor::name() const {
 uint64_t HashedBagOfWordsExtractor::Fingerprint() const {
   uint64_t fp = FeatureExtractor::Fingerprint();
   fp = HashCombine(fp, vectorizer_.salt());
-  fp = HashCombine(fp, vectorizer_.signed_hash() ? 1u : 0u);
+  // The slot of the retired signed-hash flag, always unset: stored feature
+  // keys depend on this fingerprint.
+  fp = HashCombine(fp, 0u);
   return HashCombine(fp, sublinear_tf_ ? 1u : 0u);
 }
 
 // --- HashedBigramExtractor --------------------------------------------------
 
 HashedBigramExtractor::HashedBigramExtractor(uint32_t dimension, uint64_t salt)
-    : vectorizer_(dimension, /*signed_hash=*/false, salt) {}
+    : vectorizer_(dimension, salt) {}
 
 void HashedBigramExtractor::Extract(const Document& doc,
                                     const Corpus& /*corpus*/,
@@ -117,7 +118,7 @@ void KeywordExtractor::Extract(const Document& doc, const Corpus& /*corpus*/,
       hits.push_back(static_cast<uint32_t>(it - keywords_.begin()));
     }
   }
-  CountIndices(&hits, nullptr, dimension() - 1, out);
+  CountIndices(&hits, dimension() - 1, out);
 }
 
 std::string KeywordExtractor::name() const {

@@ -43,8 +43,8 @@ class HashedBigramExtractor : public FeatureExtractor {
   uint64_t Fingerprint() const override;  // folds in the hash salt
 
  private:
-  // Hashes each bigram's pair hash with the salt, exactly as an unsigned
-  // vectorizer hashes a token id.
+  // Hashes each bigram's pair hash with the salt, exactly as the bag of
+  // words hashes a token id.
   HashingVectorizer vectorizer_;
 };
 

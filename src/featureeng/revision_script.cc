@@ -125,49 +125,4 @@ RevisionScript MakeWebCatRevisionScript() {
   return script;
 }
 
-RevisionScript MakeEntityRevisionScript() {
-  RevisionScript script;
-  script.Add("e0-bow1024", [](const Corpus&) {
-    FeaturePipeline p("e0-bow1024");
-    p.Add(std::make_unique<HashedBagOfWordsExtractor>(1024));
-    return p;
-  });
-  script.Add("e1-bow4096", [](const Corpus&) {
-    FeaturePipeline p("e1-bow4096");
-    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
-    return p;
-  });
-  script.Add("e2-mention-keywords", [](const Corpus& corpus) {
-    FeaturePipeline p("e2-mention-keywords");
-    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
-    p.Add(std::make_unique<KeywordExtractor>(TargetTopicKeywords(corpus, 8)));
-    return p;
-  });
-  script.Add("e3-add-context", [](const Corpus& corpus) {
-    FeaturePipeline p("e3-add-context");
-    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
-    p.Add(std::make_unique<KeywordExtractor>(TargetTopicKeywords(corpus, 8)));
-    p.Add(std::make_unique<HashedBigramExtractor>(2048));
-    return p;
-  });
-  script.Add("e4-add-domain", [](const Corpus& corpus) {
-    FeaturePipeline p("e4-add-domain");
-    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
-    p.Add(std::make_unique<KeywordExtractor>(TargetTopicKeywords(corpus, 8)));
-    p.Add(std::make_unique<HashedBigramExtractor>(2048));
-    p.Add(std::make_unique<DomainExtractor>());
-    return p;
-  });
-  script.Add("e5-deep-context", [](const Corpus& corpus) {
-    FeaturePipeline p("e5-deep-context");
-    p.Add(std::make_unique<ExpensiveWrapperExtractor>(
-        std::make_unique<HashedBagOfWordsExtractor>(8192), 1.5));
-    p.Add(std::make_unique<KeywordExtractor>(TargetTopicKeywords(corpus, 16)));
-    p.Add(std::make_unique<HashedBigramExtractor>(4096));
-    p.Add(std::make_unique<DomainExtractor>());
-    return p;
-  });
-  return script;
-}
-
 }  // namespace zombie

@@ -45,9 +45,6 @@ class RevisionScript {
 /// paper's 8h→5h experiment aggregates over.
 RevisionScript MakeWebCatRevisionScript();
 
-/// Six-revision EntityExtract session focused on keyword/mention features.
-RevisionScript MakeEntityRevisionScript();
-
 /// Looks up vocabulary terms by name; silently drops unknown terms.
 std::vector<uint32_t> ResolveTerms(
     const Corpus& corpus,

@@ -27,6 +27,9 @@ struct KMeansStep {
   size_t num_splits = 0;
 };
 
+/// Lloyd iterations of the 2-means that splits a full group.
+constexpr size_t kSplitKMeansIterations = 8;
+
 }  // namespace
 
 /// The evolving k-means index of one (primed grouper, arrival order): the
@@ -77,7 +80,7 @@ IncrementalKMeansGrouper::Trajectory::Trajectory(
     size_t base_size, GroupingResult* result)
     : options_(options), base_size_(base_size) {
   PrefixSignatures sigs =
-      ComputeSignaturesForPrefix(corpus, base_size, options_.signature);
+      ComputeSignaturesForPrefix(corpus, base_size);
   idf_ = std::move(sigs.idf);
 
   KMeansConfig kcfg;
@@ -134,9 +137,8 @@ std::vector<uint32_t> IncrementalKMeansGrouper::Trajectory::Docs(
 
 IngestAssignment IncrementalKMeansGrouper::Trajectory::Advance(
     const Corpus& corpus, uint32_t doc_index) {
-  std::vector<double> sig = ComputeSignature(
-      corpus.doc(doc_index), options_.signature,
-      idf_.empty() ? nullptr : &idf_);
+  std::vector<double> sig =
+      ComputeSignature(corpus.doc(doc_index), idf_.empty() ? nullptr : &idf_);
 
   // Nearest centroid, ties toward the lower group id (strict <).
   double best_dist;
@@ -168,7 +170,7 @@ IngestAssignment IncrementalKMeansGrouper::Trajectory::Advance(
 
   KMeansConfig split_cfg;
   split_cfg.k = 2;
-  split_cfg.max_iterations = options_.split_kmeans_iterations;
+  split_cfg.max_iterations = kSplitKMeansIterations;
   split_cfg.seed = HashCombine(options_.seed, 0x5154ULL + num_splits_);
   KMeansResult split = RunKMeans(member_sigs_[best], split_cfg);
 
@@ -220,7 +222,6 @@ IncrementalKMeansGrouper::IncrementalKMeansGrouper(
   ZCHECK_GE(options.num_groups, 1u);
   ZCHECK_GE(options.split_threshold, 4u);
   ZCHECK_GE(options.max_groups, options.num_groups);
-  ZCHECK_GE(options.split_kmeans_iterations, 1u);
 }
 
 GroupingResult IncrementalKMeansGrouper::GroupBase(const Corpus& corpus,
@@ -350,12 +351,7 @@ std::unique_ptr<IncrementalGrouper> IncrementalMetadataGrouper::Clone()
 // IncrementalTokenGrouper
 
 IncrementalTokenGrouper::IncrementalTokenGrouper(TokenGrouperOptions options)
-    : options_(options) {
-  ZCHECK_GE(options.max_groups, 1u);
-  ZCHECK_GE(options.min_df_fraction, 0.0);
-  ZCHECK_LE(options.max_df_fraction, 1.0);
-  ZCHECK_LT(options.min_df_fraction, options.max_df_fraction);
-}
+    : options_(std::move(options)) {}
 
 GroupingResult IncrementalTokenGrouper::GroupBase(const Corpus& corpus,
                                                   size_t base_size) {
@@ -393,9 +389,9 @@ GroupingResult IncrementalTokenGrouper::GroupBase(const Corpus& corpus,
     }
   }
   const uint32_t min_df = static_cast<uint32_t>(
-      options_.min_df_fraction * static_cast<double>(base_size));
+      kTokenMinDfFraction * static_cast<double>(base_size));
   const uint32_t max_df = static_cast<uint32_t>(
-      options_.max_df_fraction * static_cast<double>(base_size));
+      kTokenMaxDfFraction * static_cast<double>(base_size));
   std::vector<uint32_t> band;
   for (uint32_t tok = 0; tok < doc_freq.size(); ++tok) {
     if (!taken[tok] && doc_freq[tok] > std::max<uint32_t>(min_df, 1) &&
@@ -408,7 +404,7 @@ GroupingResult IncrementalTokenGrouper::GroupBase(const Corpus& corpus,
     return a < b;
   });
   for (uint32_t tok : band) {
-    if (candidates.size() >= options_.max_groups) break;
+    if (candidates.size() >= kTokenGroupsMax) break;
     candidates.push_back(tok);
   }
   token_to_group_.assign(doc_freq.size(), -1);

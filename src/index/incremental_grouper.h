@@ -101,13 +101,11 @@ class IncrementalGrouper {
 struct IncrementalKMeansOptions {
   size_t num_groups = 32;
   uint64_t seed = 7;
-  SignatureConfig signature;
   /// Member count that triggers a split (2 shards keeps chains short).
   size_t split_threshold = 2 * GroupedCorpus::kShardCapacity;
   /// Hard cap on total groups; at the cap assignment continues, splits
   /// stop.
   size_t max_groups = 512;
-  size_t split_kmeans_iterations = 8;
 };
 
 class IncrementalKMeansGrouper : public IncrementalGrouper {

@@ -20,6 +20,9 @@ namespace {
 
 constexpr size_t kLanes = DenseMatrix::kTileRows;
 
+// Lloyd stops once an iteration improves inertia by less than this share.
+constexpr double kTolerance = 1e-4;
+
 }  // namespace
 
 double SquaredL2(const double* a, const double* b, size_t dim) {
@@ -216,7 +219,7 @@ KMeansResult RunKMeans(const DenseMatrix& rows, const KMeansConfig& config) {
     if (!step.changed) break;
     if (prev_inertia < std::numeric_limits<double>::max() &&
         prev_inertia > 0.0 &&
-        (prev_inertia - step.inertia) / prev_inertia < config.tolerance) {
+        (prev_inertia - step.inertia) / prev_inertia < kTolerance) {
       break;
     }
     prev_inertia = step.inertia;

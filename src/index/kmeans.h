@@ -15,10 +15,9 @@ class Rng;
 /// Configuration for Lloyd's k-means with k-means++ seeding.
 struct KMeansConfig {
   size_t k = 16;
+  /// Lloyd iterations stop at this cap, when no assignment changes, or
+  /// when the relative inertia improvement falls below 1e-4.
   size_t max_iterations = 25;
-  /// Stop when no assignment changes (always checked) or when the relative
-  /// inertia improvement falls below this threshold.
-  double tolerance = 1e-4;
   uint64_t seed = 7;
 };
 

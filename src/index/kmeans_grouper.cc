@@ -6,11 +6,8 @@
 
 namespace zombie {
 
-KMeansGrouper::KMeansGrouper(size_t num_groups, uint64_t seed,
-                             SignatureConfig signature_config)
-    : num_groups_(num_groups),
-      seed_(seed),
-      signature_config_(signature_config) {
+KMeansGrouper::KMeansGrouper(size_t num_groups, uint64_t seed)
+    : num_groups_(num_groups), seed_(seed) {
   ZCHECK_GE(num_groups, 1u);
 }
 
@@ -24,7 +21,7 @@ GroupingResult KMeansGrouper::Group(const Corpus& corpus) {
     return result;
   }
 
-  SignatureMatrix sigs = ComputeSignatures(corpus, signature_config_);
+  SignatureMatrix sigs = ComputeSignatures(corpus);
 
   KMeansConfig kcfg;
   kcfg.k = std::min(num_groups_, corpus.size());

@@ -15,8 +15,7 @@ namespace zombie {
 /// without looking at labels or running the (expensive) feature code.
 class KMeansGrouper : public Grouper {
  public:
-  KMeansGrouper(size_t num_groups, uint64_t seed,
-                SignatureConfig signature_config = {});
+  KMeansGrouper(size_t num_groups, uint64_t seed);
 
   GroupingResult Group(const Corpus& corpus) override;
   std::string name() const override;
@@ -24,7 +23,6 @@ class KMeansGrouper : public Grouper {
  private:
   size_t num_groups_;
   uint64_t seed_;
-  SignatureConfig signature_config_;
 };
 
 }  // namespace zombie

@@ -1,19 +1,15 @@
 #include "index/token_grouper.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/clock.h"
-#include "util/logging.h"
 
 namespace zombie {
 
-TokenGrouper::TokenGrouper(TokenGrouperOptions options) : options_(options) {
-  ZCHECK_GE(options.max_groups, 1u);
-  ZCHECK_GE(options.min_df_fraction, 0.0);
-  ZCHECK_LE(options.max_df_fraction, 1.0);
-  ZCHECK_LT(options.min_df_fraction, options.max_df_fraction);
-}
+TokenGrouper::TokenGrouper(TokenGrouperOptions options)
+    : options_(std::move(options)) {}
 
 GroupingResult TokenGrouper::Group(const Corpus& corpus) {
   Stopwatch watch;
@@ -53,9 +49,9 @@ GroupingResult TokenGrouper::Group(const Corpus& corpus) {
     }
   }
   const uint32_t min_df = static_cast<uint32_t>(
-      options_.min_df_fraction * static_cast<double>(n));
+      kTokenMinDfFraction * static_cast<double>(n));
   const uint32_t max_df = static_cast<uint32_t>(
-      options_.max_df_fraction * static_cast<double>(n));
+      kTokenMaxDfFraction * static_cast<double>(n));
   std::vector<uint32_t> band;
   for (uint32_t tok = 0; tok < doc_freq.size(); ++tok) {
     if (!taken[tok] && doc_freq[tok] > std::max<uint32_t>(min_df, 1) &&
@@ -68,7 +64,7 @@ GroupingResult TokenGrouper::Group(const Corpus& corpus) {
     return a < b;
   });
   for (uint32_t tok : band) {
-    if (candidates.size() >= options_.max_groups) break;
+    if (candidates.size() >= kTokenGroupsMax) break;
     candidates.push_back(tok);
   }
   std::vector<int32_t> token_to_group(doc_freq.size(), -1);

@@ -15,19 +15,21 @@ namespace zombie {
 /// tokens is in both); the GroupedCorpus dedups at selection time.
 ///
 /// Token selection is label-free: mid-document-frequency tokens (too rare
-/// carries no mass, too frequent carries no signal), ranked rarest-first
-/// within the band. For mention-style tasks (T2) the entity tokens land in
-/// this band, so one arm nearly isolates the positives.
+/// carries no mass, too frequent carries no signal), ranked by descending
+/// coverage within the band. For mention-style tasks (T2) the entity tokens
+/// land in this band, so one arm nearly isolates the positives.
+///
+/// Maximum number of token groups (excluding the catch-all).
+inline constexpr size_t kTokenGroupsMax = 63;
+/// Document-frequency band, as fractions of corpus size.
+inline constexpr double kTokenMinDfFraction = 0.002;
+inline constexpr double kTokenMaxDfFraction = 0.20;
+
 struct TokenGrouperOptions {
-  /// Maximum number of token groups (excluding the catch-all).
-  size_t max_groups = 63;
-  /// Document-frequency band, as fractions of corpus size.
-  double min_df_fraction = 0.002;
-  double max_df_fraction = 0.20;
   /// Vocabulary terms the engineer seeds the index with (task hints, e.g.
   /// entity names). Resolved against the corpus vocabulary at Group time;
-  /// unknown terms are ignored. Seeded terms always get a group and do not
-  /// count against max_groups' DF-band selection order.
+  /// unknown terms are ignored. Seeded terms always get a group, ahead of
+  /// the DF-band tokens, and count toward kTokenGroupsMax.
   std::vector<std::string> seed_terms;
 };
 

@@ -7,16 +7,9 @@
 
 namespace zombie {
 
-AdaGradLogisticLearner::AdaGradLogisticLearner(AdaGradOptions options)
-    : options_(options) {
-  ZCHECK_GT(options.eta, 0.0);
-  ZCHECK_GE(options.lambda, 0.0);
-  ZCHECK_GT(options.epsilon, 0.0);
-}
-
 double AdaGradLogisticLearner::RawScore(SparseVectorView x) const {
   double s = x.Dot(weights_) + bias_;
-  return std::clamp(s, -options_.score_clip, options_.score_clip);
+  return std::clamp(s, -kScoreClip, kScoreClip);
 }
 
 double AdaGradLogisticLearner::Score(SparseVectorView x) const {
@@ -36,14 +29,14 @@ void AdaGradLogisticLearner::Update(SparseVectorView x, int32_t y) {
   for (size_t i = 0; i < x.num_nonzero(); ++i) {
     uint32_t idx = x.index_at(i);
     // Gradient of the regularized negative log-likelihood at idx.
-    double g = -residual * x.value_at(i) + options_.lambda * weights_[idx];
+    double g = -residual * x.value_at(i) + kLambda * weights_[idx];
     grad_sq_[idx] += g * g;
     weights_[idx] -=
-        options_.eta * g / (options_.epsilon + std::sqrt(grad_sq_[idx]));
+        kEta * g / (kEpsilon + std::sqrt(grad_sq_[idx]));
   }
   double gb = -residual;
   bias_grad_sq_ += gb * gb;
-  bias_ -= options_.eta * gb / (options_.epsilon + std::sqrt(bias_grad_sq_));
+  bias_ -= kEta * gb / (kEpsilon + std::sqrt(bias_grad_sq_));
 }
 
 double AdaGradLogisticLearner::WeightAt(uint32_t index) const {
@@ -60,7 +53,7 @@ void AdaGradLogisticLearner::Reset() {
 }
 
 std::unique_ptr<Learner> AdaGradLogisticLearner::Clone() const {
-  return std::make_unique<AdaGradLogisticLearner>(options_);
+  return std::make_unique<AdaGradLogisticLearner>();
 }
 
 bool AdaGradLogisticLearner::ExportWeightMagnitudes(

@@ -10,18 +10,6 @@
 
 namespace zombie {
 
-/// Hyperparameters for AdaGrad logistic regression.
-struct AdaGradOptions {
-  /// Base step size (per-coordinate rates adapt from here).
-  double eta = 0.5;
-  /// L2 regularization applied to touched coordinates.
-  double lambda = 1e-5;
-  /// Stability constant in the adaptive denominator.
-  double epsilon = 1e-6;
-  /// Clamp on the raw score before the sigmoid.
-  double score_clip = 30.0;
-};
-
 /// Logistic regression with AdaGrad per-coordinate step sizes (Duchi et
 /// al.): rare features keep large steps while frequent ones anneal. On
 /// hashed sparse text this converges far more evenly than a single global
@@ -29,7 +17,14 @@ struct AdaGradOptions {
 /// one-pass inner loop.
 class AdaGradLogisticLearner : public Learner {
  public:
-  explicit AdaGradLogisticLearner(AdaGradOptions options = {});
+  /// Base step size (per-coordinate rates adapt from here).
+  static constexpr double kEta = 0.5;
+  /// L2 regularization applied to touched coordinates.
+  static constexpr double kLambda = 1e-5;
+  /// Stability constant in the adaptive denominator.
+  static constexpr double kEpsilon = 1e-6;
+  /// Clamp on the raw score before the sigmoid.
+  static constexpr double kScoreClip = 30.0;
 
   void Update(SparseVectorView x, int32_t y) override;
   double Score(SparseVectorView x) const override;
@@ -46,7 +41,6 @@ class AdaGradLogisticLearner : public Learner {
  private:
   double RawScore(SparseVectorView x) const;
 
-  AdaGradOptions options_;
   std::vector<double> weights_;
   std::vector<double> grad_sq_;  // accumulated squared gradients
   double bias_ = 0.0;

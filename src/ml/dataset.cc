@@ -1,6 +1,5 @@
 #include "ml/dataset.h"
 
-#include "util/logging.h"
 #include "util/random.h"
 
 namespace zombie {
@@ -68,39 +67,6 @@ void Dataset::Shuffle(Rng* rng) {
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   rng->Shuffle(&order);
   Permute(order);
-}
-
-std::pair<Dataset, Dataset> Dataset::SplitTrainTest(double test_fraction,
-                                                    Rng* rng) const {
-  ZCHECK_GE(test_fraction, 0.0);
-  ZCHECK_LE(test_fraction, 1.0);
-  std::vector<size_t> order(size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng->Shuffle(&order);
-  size_t test_size =
-      static_cast<size_t>(test_fraction * static_cast<double>(order.size()));
-  Dataset train;
-  Dataset test;
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i < test_size) {
-      test.Add(example(order[i]));
-    } else {
-      train.Add(example(order[i]));
-    }
-  }
-  return {std::move(train), std::move(test)};
-}
-
-std::vector<Dataset> Dataset::SplitFolds(size_t k, Rng* rng) const {
-  ZCHECK_GE(k, 1u);
-  std::vector<size_t> order(size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng->Shuffle(&order);
-  std::vector<Dataset> folds(k);
-  for (size_t i = 0; i < order.size(); ++i) {
-    folds[i % k].Add(example(order[i]));
-  }
-  return folds;
 }
 
 }  // namespace zombie

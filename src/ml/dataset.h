@@ -84,14 +84,6 @@ class Dataset {
   /// so seeded runs reproduce the old ordering bit-for-bit.
   void Shuffle(Rng* rng);
 
-  /// Splits into train/test: the first `test_fraction` of a shuffled copy
-  /// goes to test. Deterministic given the rng.
-  std::pair<Dataset, Dataset> SplitTrainTest(double test_fraction,
-                                             Rng* rng) const;
-
-  /// Splits into k folds of near-equal size (for cross-validation).
-  std::vector<Dataset> SplitFolds(size_t k, Rng* rng) const;
-
  private:
   /// Rebuilds the arena with rows in `order` (a permutation of [0, size)).
   void Permute(const std::vector<size_t>& order);

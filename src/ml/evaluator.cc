@@ -1,9 +1,6 @@
 #include "ml/evaluator.h"
 
-#include <cmath>
-
 #include "util/logging.h"
-#include "util/stats.h"
 
 namespace zombie {
 
@@ -27,34 +24,6 @@ HoldoutEvaluator::HoldoutEvaluator(Dataset holdout)
 
 BinaryMetrics HoldoutEvaluator::Evaluate(const Learner& learner) const {
   return EvaluateLearner(learner, holdout_);
-}
-
-double HoldoutEvaluator::Quality(const Learner& learner,
-                                 QualityMetric metric) const {
-  return QualityOf(Evaluate(learner), metric);
-}
-
-CrossValidationResult CrossValidate(const Learner& prototype,
-                                    const Dataset& data, size_t folds,
-                                    size_t epochs, QualityMetric metric,
-                                    Rng* rng) {
-  ZCHECK_GE(folds, 2u);
-  std::vector<Dataset> fold_sets = data.SplitFolds(folds, rng);
-  CrossValidationResult result;
-  for (size_t held = 0; held < folds; ++held) {
-    std::unique_ptr<Learner> learner = prototype.Clone();
-    Dataset train;
-    for (size_t f = 0; f < folds; ++f) {
-      if (f == held) continue;
-      for (ExampleView e : fold_sets[f].examples()) train.Add(e);
-    }
-    TrainEpochs(learner.get(), train, epochs, rng);
-    BinaryMetrics m = EvaluateLearner(*learner, fold_sets[held]);
-    result.fold_qualities.push_back(QualityOf(m, metric));
-  }
-  result.mean_quality = Mean(result.fold_qualities);
-  result.stddev_quality = StdDev(result.fold_qualities);
-  return result;
 }
 
 }  // namespace zombie

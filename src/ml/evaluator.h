@@ -2,7 +2,6 @@
 #define ZOMBIE_ML_EVALUATOR_H_
 
 #include <cstddef>
-#include <memory>
 
 #include "ml/dataset.h"
 #include "ml/learner.h"
@@ -26,29 +25,12 @@ class HoldoutEvaluator {
   /// Full metrics of the learner on the holdout.
   BinaryMetrics Evaluate(const Learner& learner) const;
 
-  /// Just the selected quality scalar.
-  double Quality(const Learner& learner, QualityMetric metric) const;
-
   const Dataset& holdout() const { return holdout_; }
   size_t size() const { return holdout_.size(); }
 
  private:
   Dataset holdout_;
 };
-
-/// Result of one cross-validation run.
-struct CrossValidationResult {
-  double mean_quality = 0.0;
-  double stddev_quality = 0.0;
-  std::vector<double> fold_qualities;
-};
-
-/// k-fold cross-validation: trains a fresh clone of `prototype` on k-1
-/// folds (epochs passes each) and evaluates on the held-out fold.
-CrossValidationResult CrossValidate(const Learner& prototype,
-                                    const Dataset& data, size_t folds,
-                                    size_t epochs, QualityMetric metric,
-                                    Rng* rng);
 
 }  // namespace zombie
 

@@ -58,7 +58,7 @@ bool FeaturePruner::MaybeFreeze(Learner* learner, size_t items) {
 
   std::vector<double> magnitudes;
   if (!learner->ExportWeightMagnitudes(&magnitudes)) {
-    disabled_ = true;  // no per-feature weights (kNN, majority): stay a no-op
+    disabled_ = true;  // no per-feature weights (majority): stay a no-op
     return false;
   }
 

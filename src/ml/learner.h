@@ -70,8 +70,8 @@ class Learner {
   /// (ml/feature_pruner.h): out[f] >= 0 measures how much feature f moves
   /// Score(), in whatever units the learner uses internally (|weight| for
   /// linear models, |log-odds contribution| for NB). Returns false when the
-  /// learner has no per-feature notion of weight (kNN, majority) — the
-  /// pruner then disables itself rather than guess. `out` is resized by the
+  /// learner has no per-feature notion of weight (majority) — the pruner
+  /// then disables itself rather than guess. `out` is resized by the
   /// learner; ids past its size have zero influence.
   virtual bool ExportWeightMagnitudes(std::vector<double>* out) const {
     (void)out;

@@ -25,34 +25,6 @@ double LearningCurve::PeakQuality() const {
   return peak;
 }
 
-int64_t LearningCurve::TimeToQuality(double target) const {
-  for (const auto& p : points_) {
-    if (p.quality >= target) return p.virtual_micros;
-  }
-  return -1;
-}
-
-int64_t LearningCurve::ItemsToQuality(double target) const {
-  for (const auto& p : points_) {
-    if (p.quality >= target) return static_cast<int64_t>(p.items_processed);
-  }
-  return -1;
-}
-
-double LearningCurve::NormalizedAucItems() const {
-  if (points_.size() < 2) return FinalQuality();
-  double area = 0.0;
-  for (size_t i = 1; i < points_.size(); ++i) {
-    double dx = static_cast<double>(points_[i].items_processed -
-                                    points_[i - 1].items_processed);
-    area += dx * (points_[i].quality + points_[i - 1].quality) / 2.0;
-  }
-  double span = static_cast<double>(points_.back().items_processed -
-                                    points_.front().items_processed);
-  if (span <= 0.0) return FinalQuality();
-  return area / span;
-}
-
 std::string LearningCurve::ToCsv() const {
   std::string out = "items,virtual_seconds,quality,f1,accuracy,auc\n";
   for (const auto& p : points_) {

@@ -40,17 +40,6 @@ class LearningCurve {
   /// Highest quality reached anywhere on the curve.
   double PeakQuality() const;
 
-  /// Virtual time of the first point with quality >= target, or -1 if the
-  /// curve never reaches it.
-  int64_t TimeToQuality(double target) const;
-
-  /// Items processed at the first point with quality >= target, or -1.
-  int64_t ItemsToQuality(double target) const;
-
-  /// Trapezoidal area under quality-vs-items, normalized by the item span;
-  /// a scale-free "how fast did it learn" scalar (higher is better).
-  double NormalizedAucItems() const;
-
   /// CSV rendering: items,virtual_seconds,quality,f1,accuracy,auc.
   std::string ToCsv() const;
 

@@ -7,16 +7,9 @@
 
 namespace zombie {
 
-LogisticRegressionLearner::LogisticRegressionLearner(
-    LogisticRegressionOptions options)
-    : options_(options) {
-  ZCHECK_GT(options.eta0, 0.0);
-  ZCHECK_GE(options.lambda, 0.0);
-}
-
 double LogisticRegressionLearner::RawScore(SparseVectorView x) const {
   double s = scale_ * x.Dot(weights_) + bias_;
-  return std::clamp(s, -options_.score_clip, options_.score_clip);
+  return std::clamp(s, -kScoreClip, kScoreClip);
 }
 
 double LogisticRegressionLearner::Score(SparseVectorView x) const {
@@ -34,17 +27,15 @@ void LogisticRegressionLearner::Update(SparseVectorView x, int32_t y) {
   ++num_updates_;
   double t = static_cast<double>(num_updates_);
   double eta =
-      options_.eta0 / (1.0 + options_.lambda * options_.eta0 * t);
+      kEta0 / (1.0 + kLambda * kEta0 * t);
 
   double p = 1.0 / (1.0 + std::exp(-RawScore(x)));
   double g = static_cast<double>(y) - p;  // gradient of log-likelihood
 
   // L2 shrink via the scale factor: w <- (1 - eta*lambda) * w.
-  if (options_.lambda > 0.0) {
-    scale_ *= (1.0 - eta * options_.lambda);
-    if (scale_ <= 0.0) scale_ = 1e-12;
-    Rescale();
-  }
+  scale_ *= (1.0 - eta * kLambda);
+  if (scale_ <= 0.0) scale_ = 1e-12;
+  Rescale();
 
   // Gradient step touches only the example's nonzeros. Because the live
   // weights are scale_*weights_, the raw update is eta*g/scale_.
@@ -69,7 +60,7 @@ void LogisticRegressionLearner::Reset() {
 }
 
 std::unique_ptr<Learner> LogisticRegressionLearner::Clone() const {
-  return std::make_unique<LogisticRegressionLearner>(options_);
+  return std::make_unique<LogisticRegressionLearner>();
 }
 
 bool LogisticRegressionLearner::ExportWeightMagnitudes(

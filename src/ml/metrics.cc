@@ -62,30 +62,6 @@ std::string BinaryMetrics::ToString() const {
                    precision, recall, f1, auc);
 }
 
-const char* QualityMetricName(QualityMetric metric) {
-  switch (metric) {
-    case QualityMetric::kF1:
-      return "f1";
-    case QualityMetric::kAccuracy:
-      return "accuracy";
-    case QualityMetric::kAuc:
-      return "auc";
-  }
-  return "?";
-}
-
-double QualityOf(const BinaryMetrics& m, QualityMetric metric) {
-  switch (metric) {
-    case QualityMetric::kF1:
-      return m.f1;
-    case QualityMetric::kAccuracy:
-      return m.accuracy;
-    case QualityMetric::kAuc:
-      return m.auc;
-  }
-  return 0.0;
-}
-
 double AucFromScores(const std::vector<double>& scores,
                      const std::vector<int32_t>& labels) {
   ZCHECK_EQ(scores.size(), labels.size());

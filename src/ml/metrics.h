@@ -40,15 +40,6 @@ struct BinaryMetrics {
   std::string ToString() const;
 };
 
-/// Which scalar a run optimizes/reports as "quality". The paper's tasks are
-/// rare-class, so F1 of the positive class is the default.
-enum class QualityMetric { kF1, kAccuracy, kAuc };
-
-const char* QualityMetricName(QualityMetric metric);
-
-/// Extracts the selected scalar from a metrics bundle.
-double QualityOf(const BinaryMetrics& m, QualityMetric metric);
-
 /// Scores every example with `learner` and computes the full bundle.
 /// AUC is the rank-based (Mann–Whitney) estimate over Score() values; it is
 /// 0 when either class is absent from `data`.

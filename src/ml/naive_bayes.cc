@@ -7,10 +7,6 @@
 
 namespace zombie {
 
-NaiveBayesLearner::NaiveBayesLearner(double alpha) : alpha_(alpha) {
-  ZCHECK_GT(alpha, 0.0);
-}
-
 void NaiveBayesLearner::Update(SparseVectorView x, int32_t y) {
   ZCHECK(y == 0 || y == 1) << "binary labels required, got " << y;
   ++num_updates_;
@@ -33,16 +29,16 @@ NaiveBayesLearner::Smoothing NaiveBayesLearner::CurrentSmoothing() const {
                   (class_count_[0] + class_count_[1] + 2.0);
   s.log_prior = std::log(prior1 / (1.0 - prior1));
   double v_dim = static_cast<double>(std::max<size_t>(dimension_, 1));
-  s.denom0 = token_total_[0] + alpha_ * v_dim;
-  s.denom1 = token_total_[1] + alpha_ * v_dim;
+  s.denom0 = token_total_[0] + kAlpha * v_dim;
+  s.denom1 = token_total_[1] + kAlpha * v_dim;
   return s;
 }
 
 double NaiveBayesLearner::FeatureWeight(size_t f, const Smoothing& s) const {
   double c0 = f < token_count_[0].size() ? token_count_[0][f] : 0.0;
   double c1 = f < token_count_[1].size() ? token_count_[1][f] : 0.0;
-  double lp1 = std::log((c1 + alpha_) / s.denom1);
-  double lp0 = std::log((c0 + alpha_) / s.denom0);
+  double lp1 = std::log((c1 + kAlpha) / s.denom1);
+  double lp0 = std::log((c0 + kAlpha) / s.denom0);
   return lp1 - lp0;
 }
 
@@ -110,7 +106,7 @@ void NaiveBayesLearner::Reset() {
 }
 
 std::unique_ptr<Learner> NaiveBayesLearner::Clone() const {
-  return std::make_unique<NaiveBayesLearner>(alpha_);
+  return std::make_unique<NaiveBayesLearner>();
 }
 
 bool NaiveBayesLearner::ExportWeightMagnitudes(

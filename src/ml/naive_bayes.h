@@ -19,11 +19,10 @@ namespace zombie {
 /// values are clamped to zero (multinomial NB is count-based).
 class NaiveBayesLearner : public Learner {
  public:
-  /// `alpha` is the Laplace smoothing pseudo-count (> 0). The default is
-  /// small because the feature pipeline L2-normalizes: per-feature masses
-  /// are fractions, and a large alpha would drown them for thousands of
-  /// updates.
-  explicit NaiveBayesLearner(double alpha = 0.1);
+  /// The Laplace smoothing pseudo-count. It is small because the feature
+  /// pipeline L2-normalizes: per-feature masses are fractions, and a large
+  /// alpha would drown them for thousands of updates.
+  static constexpr double kAlpha = 0.1;
 
   void Update(SparseVectorView x, int32_t y) override;
   double Score(SparseVectorView x) const override;
@@ -36,7 +35,6 @@ class NaiveBayesLearner : public Learner {
   bool CompactFeatures(const std::vector<uint32_t>& old_to_new,
                        uint32_t new_dimension) override;
 
-  double alpha() const { return alpha_; }
 
  private:
   // The model-state constants of LogOdds: the smoothed class-prior
@@ -56,7 +54,6 @@ class NaiveBayesLearner : public Learner {
   // Log P(y=1|x) - log P(y=0|x).
   double LogOdds(SparseVectorView x) const;
 
-  double alpha_;
   size_t num_updates_ = 0;
   // Per-class document counts and per-class total token mass.
   double class_count_[2] = {0.0, 0.0};

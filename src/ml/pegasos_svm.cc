@@ -4,11 +4,6 @@
 
 namespace zombie {
 
-PegasosSvmLearner::PegasosSvmLearner(PegasosOptions options)
-    : options_(options) {
-  ZCHECK_GT(options.lambda, 0.0);
-}
-
 double PegasosSvmLearner::Score(SparseVectorView x) const {
   return scale_ * x.Dot(weights_) + bias_;
 }
@@ -24,13 +19,13 @@ void PegasosSvmLearner::Update(SparseVectorView x, int32_t y) {
   ++num_updates_;
   // t+1 avoids the degenerate first step where (1 - eta*lambda) would be 0.
   double t = static_cast<double>(num_updates_) + 1.0;
-  double eta = 1.0 / (options_.lambda * t);
+  double eta = 1.0 / (kLambda * t);
   double yy = y == 1 ? 1.0 : -1.0;
 
   double margin = yy * Score(x);
 
   // w <- (1 - eta*lambda) w  [+ eta*y*x when the margin is violated].
-  scale_ *= (1.0 - eta * options_.lambda);
+  scale_ *= (1.0 - eta * kLambda);
   if (scale_ <= 0.0) scale_ = 1e-12;
   Rescale();
 
@@ -52,7 +47,7 @@ void PegasosSvmLearner::Reset() {
 }
 
 std::unique_ptr<Learner> PegasosSvmLearner::Clone() const {
-  return std::make_unique<PegasosSvmLearner>(options_);
+  return std::make_unique<PegasosSvmLearner>();
 }
 
 bool PegasosSvmLearner::ExportWeightMagnitudes(

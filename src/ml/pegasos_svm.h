@@ -10,18 +10,13 @@
 
 namespace zombie {
 
-/// Hyperparameters for the Pegasos linear SVM.
-struct PegasosOptions {
-  /// Regularization strength; the Pegasos step size is 1 / (lambda * t).
-  double lambda = 1e-4;
-};
-
 /// Linear SVM trained with the Pegasos stochastic subgradient method
 /// (Shalev-Shwartz et al.). Uses the weight-scaling trick so each Update()
 /// is O(nnz). Scores are unnormalized margins.
 class PegasosSvmLearner : public Learner {
  public:
-  explicit PegasosSvmLearner(PegasosOptions options = {});
+  /// Regularization strength; the Pegasos step size is 1 / (lambda * t).
+  static constexpr double kLambda = 1e-4;
 
   void Update(SparseVectorView x, int32_t y) override;
   double Score(SparseVectorView x) const override;
@@ -36,7 +31,6 @@ class PegasosSvmLearner : public Learner {
  private:
   void Rescale();
 
-  PegasosOptions options_;
   std::vector<double> weights_;
   double scale_ = 1.0;
   double bias_ = 0.0;

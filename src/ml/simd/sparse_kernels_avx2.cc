@@ -35,7 +35,7 @@ namespace {
 // Merging two streams of similar density yields mismatch runs of ~2, where
 // a 32-byte compare per advance costs more than two scalar steps; the
 // vector loop pays off on the long runs of unbalanced merges (a doc row
-// against a centroid-sized row, the kNN/k-means shape), where each compare
+// against a centroid-sized row, the k-means shape), where each compare
 // retires 8 indices.
 inline size_t AdvanceTo(const uint32_t* idx, size_t i, size_t n,
                         uint32_t bound) {

@@ -85,8 +85,8 @@ class SparseVectorView {
 /// Owning sparse feature vector with the same invariants and kernel API as
 /// SparseVectorView (every const kernel delegates to the view). This is the
 /// feature representation flowing out of the feature pipeline; bulk storage
-/// (holdout, probe, kNN memory) lives in the CSR-backed Dataset instead of
-/// per-row SparseVectors.
+/// (holdout, probe) lives in the CSR-backed Dataset instead of per-row
+/// SparseVectors.
 class SparseVector {
  public:
   SparseVector() = default;

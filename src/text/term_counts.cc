@@ -77,35 +77,23 @@ void RadixSort(std::vector<uint32_t>* keys, uint32_t max_index) {
 
 }  // namespace
 
-void CountIndices(std::vector<uint32_t>* positive,
-                  std::vector<uint32_t>* negative, uint32_t max_index,
+void CountIndices(std::vector<uint32_t>* indices, uint32_t max_index,
                   TermCounts* out) {
-  RadixSort(positive, max_index);
-  const uint32_t* p = positive->data();
-  const size_t np = positive->size();
-  const uint32_t* q = nullptr;
-  size_t nq = 0;
-  if (negative != nullptr) {
-    RadixSort(negative, max_index);
-    q = negative->data();
-    nq = negative->size();
-  }
+  RadixSort(indices, max_index);
+  const uint32_t* p = indices->data();
+  const size_t n = indices->size();
   // Sized for the worst case (every key distinct) and written through a
   // raw cursor, then trimmed: no capacity check per run.
   const size_t start = out->size();
-  out->resize(start + np + nq);
+  out->resize(start + n);
   std::pair<uint32_t, double>* w = out->data() + start;
-  // One merge over the two sorted lists; each step consumes the smallest
-  // remaining key's run from both.
+  // One pass over the sorted keys, one entry per run.
   size_t i = 0;
-  size_t j = 0;
-  while (i < np || j < nq) {
-    const uint32_t key = (j == nq || (i < np && p[i] <= q[j])) ? p[i] : q[j];
+  while (i < n) {
+    const uint32_t key = p[i];
     const size_t i0 = i;
-    while (i < np && p[i] == key) ++i;
-    const size_t j0 = j;
-    while (j < nq && q[j] == key) ++j;
-    *w++ = {key, static_cast<double>(i - i0) - static_cast<double>(j - j0)};
+    while (i < n && p[i] == key) ++i;
+    *w++ = {key, static_cast<double>(i - i0)};
   }
   out->resize(static_cast<size_t>(w - out->data()));
 }
@@ -115,7 +103,7 @@ TermCounts CountTokenIds(const std::vector<uint32_t>& token_ids) {
   if (token_ids.empty()) return counts;
   std::vector<uint32_t> keys = token_ids;
   const uint32_t max_id = *std::max_element(keys.begin(), keys.end());
-  CountIndices(&keys, nullptr, max_id, &counts);
+  CountIndices(&keys, max_id, &counts);
   return counts;
 }
 

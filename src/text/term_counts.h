@@ -15,12 +15,8 @@ using TermCounts = std::vector<std::pair<uint32_t, double>>;
 /// The one counting routine of the extraction path: appends to `out` the
 /// sorted (index, count) pairs of a multiset of indices, all at most
 /// `max_index` (a hashed feature space of dimension D passes D - 1).
-/// count = occurrences in `positive` - occurrences in `negative`; the
-/// negative list carries the tokens a signed hash flips, and is null or
-/// empty otherwise. An index seen in either list is emitted even when its
-/// count cancels to zero.
 ///
-/// Counting, not comparison sorting: both lists are sorted in place by an
+/// Counting, not comparison sorting: `indices` is sorted in place by an
 /// LSD radix sort on the uint32 keys — one 8-bit pass per byte of
 /// `max_index`, skipping any pass whose byte is the same for every key —
 /// and the runs are then counted in one merge. The cost follows the
@@ -29,10 +25,9 @@ using TermCounts = std::vector<std::pair<uint32_t, double>>;
 /// dimension one does per token. Lists too short to amortise the
 /// histograms (under 64 keys) take a plain sort of the keys instead.
 ///
-/// Every count is an integer sum, exact in a double in any order, so the
-/// output is bit-identical to summing ±1.0 per occurrence after any sort.
-void CountIndices(std::vector<uint32_t>* positive,
-                  std::vector<uint32_t>* negative, uint32_t max_index,
+/// Every count is an integer, exact in a double, so the output is
+/// bit-identical to summing 1.0 per occurrence after any sort.
+void CountIndices(std::vector<uint32_t>* indices, uint32_t max_index,
                   TermCounts* out);
 
 /// Aggregates raw token ids into sorted (id, count) pairs.

@@ -92,11 +92,6 @@ double Rng::NextLogNormal(double mu, double sigma) {
   return std::exp(NextGaussian(mu, sigma));
 }
 
-double Rng::NextExponential(double lambda) {
-  ZCHECK_GT(lambda, 0.0);
-  return -std::log(1.0 - NextDouble()) / lambda;
-}
-
 double Rng::NextGamma(double shape, double scale) {
   ZCHECK_GT(shape, 0.0);
   ZCHECK_GT(scale, 0.0);

@@ -47,9 +47,6 @@ class Rng {
   /// Lognormal: exp(N(mu, sigma)).
   double NextLogNormal(double mu, double sigma);
 
-  /// Exponential with the given rate lambda (> 0).
-  double NextExponential(double lambda);
-
   /// Gamma(shape, scale) via Marsaglia–Tsang; shape > 0, scale > 0.
   double NextGamma(double shape, double scale);
 

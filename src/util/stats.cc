@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace zombie {
 
@@ -60,21 +59,6 @@ void WindowedMean::Reset() {
   total_count_ = 0;
 }
 
-void DiscountedMean::Add(double x) {
-  weighted_sum_ = weighted_sum_ * gamma_ + x;
-  weight_ = weight_ * gamma_ + 1.0;
-}
-
-double DiscountedMean::mean() const {
-  if (weight_ <= 0.0) return 0.0;
-  return weighted_sum_ / weight_;
-}
-
-void DiscountedMean::Reset() {
-  weighted_sum_ = 0.0;
-  weight_ = 0.0;
-}
-
 double Mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;
@@ -104,38 +88,6 @@ double Quantile(std::vector<double> xs, double q) {
   size_t hi = std::min(lo + 1, xs.size() - 1);
   double frac = pos - static_cast<double>(lo);
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
-BootstrapCi BootstrapMeanCi(const std::vector<double>& xs, double confidence,
-                            int resamples, Rng* rng) {
-  BootstrapCi ci;
-  ci.point = Mean(xs);
-  if (xs.size() < 2 || resamples < 2) {
-    ci.lo = ci.hi = ci.point;
-    return ci;
-  }
-  std::vector<double> means;
-  means.reserve(static_cast<size_t>(resamples));
-  for (int r = 0; r < resamples; ++r) {
-    double s = 0.0;
-    for (size_t i = 0; i < xs.size(); ++i) {
-      s += xs[rng->NextBelow(xs.size())];
-    }
-    means.push_back(s / static_cast<double>(xs.size()));
-  }
-  double alpha = 1.0 - confidence;
-  ci.lo = Quantile(means, alpha / 2.0);
-  ci.hi = Quantile(std::move(means), 1.0 - alpha / 2.0);
-  return ci;
-}
-
-double WelchT(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() < 2 || b.size() < 2) return 0.0;
-  double va = Variance(a) / static_cast<double>(a.size());
-  double vb = Variance(b) / static_cast<double>(b.size());
-  double denom = std::sqrt(va + vb);
-  if (denom == 0.0) return 0.0;
-  return (Mean(a) - Mean(b)) / denom;
 }
 
 }  // namespace zombie

@@ -8,8 +8,6 @@
 
 namespace zombie {
 
-class Rng;
-
 /// Streaming mean/variance accumulator (Welford). Numerically stable for
 /// long reward streams.
 class RunningStats {
@@ -59,23 +57,6 @@ class WindowedMean {
   size_t total_count_ = 0;
 };
 
-/// Exponentially discounted mean: each new observation multiplies the old
-/// weight by `gamma` in (0,1]. gamma == 1 is the plain mean.
-class DiscountedMean {
- public:
-  explicit DiscountedMean(double gamma = 1.0) : gamma_(gamma) {}
-
-  void Add(double x);
-  double mean() const;
-  double weight() const { return weight_; }
-  void Reset();
-
- private:
-  double gamma_;
-  double weighted_sum_ = 0.0;
-  double weight_ = 0.0;
-};
-
 /// Basic descriptive statistics over a finished sample.
 double Mean(const std::vector<double>& xs);
 double Variance(const std::vector<double>& xs);  // n-1 denominator
@@ -83,19 +64,6 @@ double StdDev(const std::vector<double>& xs);
 double Median(std::vector<double> xs);           // by value: sorts a copy
 /// Linear-interpolated quantile, q in [0,1].
 double Quantile(std::vector<double> xs, double q);
-
-/// Percentile bootstrap confidence interval for the mean.
-struct BootstrapCi {
-  double lo = 0.0;
-  double hi = 0.0;
-  double point = 0.0;
-};
-BootstrapCi BootstrapMeanCi(const std::vector<double>& xs, double confidence,
-                            int resamples, Rng* rng);
-
-/// Welch's t-statistic for the difference of two means (does not assume
-/// equal variances); positive when mean(a) > mean(b).
-double WelchT(const std::vector<double>& a, const std::vector<double>& b);
 
 }  // namespace zombie
 

@@ -13,7 +13,7 @@ TEST(ArmStatsTest, InitialState) {
   for (size_t a = 0; a < 3; ++a) {
     EXPECT_TRUE(s.active(a));
     EXPECT_EQ(s.pulls(a), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(a), s.options().prior_mean);
+    EXPECT_DOUBLE_EQ(s.mean(a), ArmStats::kPriorMean);
   }
 }
 
@@ -27,39 +27,22 @@ TEST(ArmStatsTest, RecordUpdatesCounters) {
   EXPECT_EQ(s.total_pulls(), 3u);
   EXPECT_DOUBLE_EQ(s.total_reward(0), 1.0);
   EXPECT_DOUBLE_EQ(s.mean(0), 0.5);
-  EXPECT_DOUBLE_EQ(s.lifetime_mean(1), 0.5);
+  EXPECT_DOUBLE_EQ(s.mean(1), 0.5);
 }
 
 TEST(ArmStatsTest, WindowedMeanTracksRecentRewards) {
-  ArmStatsOptions opts;
-  opts.window = 3;
-  opts.discount = 1.0;
-  ArmStats s(1, opts);
+  ArmStats s(1);
   // Old high rewards age out of the window.
   s.Record(0, 1.0);
   s.Record(0, 1.0);
-  s.Record(0, 0.0);
-  s.Record(0, 0.0);
-  s.Record(0, 0.0);
+  for (size_t i = 0; i < ArmStats::kWindow; ++i) s.Record(0, 0.0);
   EXPECT_DOUBLE_EQ(s.mean(0), 0.0);
-  EXPECT_DOUBLE_EQ(s.lifetime_mean(0), 0.4);
+  EXPECT_DOUBLE_EQ(s.total_reward(0), 2.0);
+  EXPECT_EQ(s.pulls(0), ArmStats::kWindow + 2);
 }
 
-TEST(ArmStatsTest, DiscountedMeanWinsWhenBothConfigured) {
-  ArmStatsOptions opts;
-  opts.window = 100;
-  opts.discount = 0.5;
-  ArmStats s(1, opts);
-  s.Record(0, 0.0);
-  s.Record(0, 1.0);
-  // Discounted: (0*0.5 + 1) / (0.5 + 1) = 2/3, not windowed 0.5.
-  EXPECT_NEAR(s.mean(0), 2.0 / 3.0, 1e-12);
-}
-
-TEST(ArmStatsTest, PlainMeanWhenWindowDisabled) {
-  ArmStatsOptions opts;
-  opts.window = 0;
-  ArmStats s(1, opts);
+TEST(ArmStatsTest, MeanCoversWholeHistoryWithinWindow) {
+  ArmStats s(1);
   for (int i = 0; i < 10; ++i) s.Record(0, i < 5 ? 1.0 : 0.0);
   EXPECT_DOUBLE_EQ(s.mean(0), 0.5);
 }
@@ -77,20 +60,15 @@ TEST(ArmStatsTest, DeactivateRemovesFromActiveCount) {
 }
 
 TEST(ArmStatsTest, PriorMeanBeforeFirstPull) {
-  ArmStatsOptions opts;
-  opts.prior_mean = 0.42;
-  ArmStats s(2, opts);
-  EXPECT_DOUBLE_EQ(s.mean(0), 0.42);
-  EXPECT_DOUBLE_EQ(s.lifetime_mean(0), 0.42);
+  ArmStats s(2);
+  EXPECT_DOUBLE_EQ(s.mean(0), 1.0);
   s.Record(0, 0.0);
   EXPECT_DOUBLE_EQ(s.mean(0), 0.0);
-  EXPECT_DOUBLE_EQ(s.mean(1), 0.42);
+  EXPECT_DOUBLE_EQ(s.mean(1), 1.0);
 }
 
 TEST(ArmStatsTest, AddArmAppendsFreshActiveArm) {
-  ArmStatsOptions opts;
-  opts.prior_mean = 0.7;
-  ArmStats s(2, opts);
+  ArmStats s(2);
   s.Record(0, 1.0);
   size_t arm = s.AddArm();
   EXPECT_EQ(arm, 2u);
@@ -98,7 +76,7 @@ TEST(ArmStatsTest, AddArmAppendsFreshActiveArm) {
   EXPECT_EQ(s.num_active(), 3u);
   EXPECT_TRUE(s.active(arm));
   EXPECT_EQ(s.pulls(arm), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(arm), 0.7);
+  EXPECT_DOUBLE_EQ(s.mean(arm), ArmStats::kPriorMean);
   // The new arm records like any other and old arms are untouched.
   s.Record(arm, 0.25);
   EXPECT_DOUBLE_EQ(s.mean(arm), 0.25);
@@ -127,7 +105,7 @@ TEST(ArmStatsTest, ReactivateRevivesArmAndKeepsHistory) {
   EXPECT_EQ(s.num_active(), 2u);
   // Same group, only its supply was interrupted: history survives.
   EXPECT_EQ(s.pulls(1), 2u);
-  EXPECT_DOUBLE_EQ(s.lifetime_mean(1), 0.5);
+  EXPECT_DOUBLE_EQ(s.mean(1), 0.5);
   // No-op on an already-active arm.
   s.Reactivate(1);
   EXPECT_EQ(s.num_active(), 2u);

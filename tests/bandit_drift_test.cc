@@ -1,6 +1,7 @@
 // Regression guard for the non-stationary policies (PR 10): on a drifting
 // reward stream the recency-aware policies (SlidingUcb, Exp3) must beat a
-// stationary UCB1 that trusts lifetime means. Streaming ingestion is the
+// stationary UCB1, whose exploration bonus shrinks with lifetime pull
+// counts. Streaming ingestion is the
 // whole reason these policies ship — domain-grouped arrival schedules make
 // arm values drift by construction — so this pins the property the E13
 // experiment is built on.
@@ -40,19 +41,15 @@ constexpr size_t kSteps = 4000;
 constexpr double kHighPay = 0.9;
 constexpr double kLowPay = 0.1;
 
-// Stationary bookkeeping: UCB1 sees exactly the lifetime means its bounds
-// assume — the handicap under drift is the policy's, not the bookkeeping's.
-ArmStats MakeStationaryStats() {
-  ArmStatsOptions opts;
-  opts.window = 0;
-  opts.discount = 1.0;
-  return ArmStats(kArms, opts);
-}
+// The engine's bookkeeping (windowed means). UCB1's exploration bonus
+// still grows with lifetime pull counts, so it stays a stationary policy:
+// the handicap under drift is the policy's, not the bookkeeping's.
+ArmStats MakeStats() { return ArmStats(kArms); }
 
 // Simulates stationary UCB1 against the adversary and returns the frozen
 // schedule: bad[t] is the (single) arm that pays kLowPay at step t.
 std::vector<size_t> BuildAdversarialSchedule(uint64_t seed) {
-  ArmStats stats = MakeStationaryStats();
+  ArmStats stats = MakeStats();
   Ucb1Policy ucb1;
   ucb1.Reset(kArms);
   Rng rng(seed);
@@ -77,7 +74,7 @@ struct DriftOutcome {
 DriftOutcome PlayDriftingBandit(BanditPolicy* policy,
                                 const std::vector<size_t>& bad,
                                 uint64_t seed) {
-  ArmStats stats = MakeStationaryStats();
+  ArmStats stats = MakeStats();
   policy->Reset(kArms);
   Rng rng(seed);
   DriftOutcome out;
@@ -149,7 +146,7 @@ TEST(DriftingBanditTest, StationaryControlFavorsUcb1) {
   // near-optimal, so the drift losses above are about drift, not a
   // handicapped baseline. UCB1 must land close to the oracle here.
   Ucb1Policy ucb1;
-  ArmStats stats = MakeStationaryStats();
+  ArmStats stats = MakeStats();
   ucb1.Reset(kArms);
   Rng rng(404);
   double cumulative = 0.0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -203,37 +204,23 @@ TEST(EpsilonGreedyTest, TriesEveryArmOnceFirst) {
   }
 }
 
-TEST(EpsilonGreedyTest, ZeroEpsilonIsPureGreedy) {
-  EpsilonGreedyOptions opts;
-  opts.epsilon = 0.0;
-  EpsilonGreedyPolicy policy(opts);
+TEST(EpsilonGreedyTest, ExploitsBestMeanOutsideExploration) {
+  EpsilonGreedyPolicy policy;
   ArmStats stats(3);
   policy.Reset(3);
   Rng rng(7);
   stats.Record(0, 0.1);
   stats.Record(1, 0.9);
   stats.Record(2, 0.2);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(policy.SelectArm(stats, &rng), 1u);
-  }
-}
-
-TEST(EpsilonGreedyTest, DecaySchedule) {
-  EpsilonGreedyOptions opts;
-  opts.epsilon = 1.0;
-  opts.decay = 0.5;
-  opts.min_epsilon = 0.1;
-  EpsilonGreedyPolicy policy(opts);
-  ArmStats stats(2);
-  policy.Reset(2);
-  Rng rng(8);
-  for (int i = 0; i < 10; ++i) {
-    policy.SelectArm(stats, &rng);
-    stats.Record(0, 0.0);
-  }
-  EXPECT_DOUBLE_EQ(policy.current_epsilon(), 0.1);  // floored
-  policy.Reset(2);
-  EXPECT_DOUBLE_EQ(policy.current_epsilon(), 1.0);
+  // Greedy with probability 1 - ε, plus ε/3 of the uniform draws.
+  int best = 0;
+  const int n = 2000;
+  for (int i = 0; i < n; ++i) best += policy.SelectArm(stats, &rng) == 1;
+  const double want = (1.0 - EpsilonGreedyPolicy::kEpsilon +
+                       EpsilonGreedyPolicy::kEpsilon / 3.0) *
+                      n;
+  EXPECT_NEAR(best, want, 60.0);
+  EXPECT_LT(best, n);  // ε > 0: some draws explore
 }
 
 TEST(Ucb1Test, PrefersHighMeanWithEqualPulls) {
@@ -287,25 +274,25 @@ TEST(Exp3Test, WeightsStayFiniteOverLongRuns) {
   EXPECT_GT(stats.pulls(0), 10000u);
 }
 
-TEST(SoftmaxTest, TemperatureControlsGreediness) {
+TEST(SoftmaxTest, LowTemperatureIsNearlyGreedy) {
   ArmStats stats(2);
   Rng rng(14);
   for (int i = 0; i < 20; ++i) {
     stats.Record(0, 1.0);
     stats.Record(1, 0.0);
   }
-  SoftmaxOptions cold;
-  cold.temperature = 0.01;
-  SoftmaxPolicy greedy(cold);
+  // A mean gap of 1 at temperature 0.1 weighs arm 1 by exp(-10).
+  SoftmaxPolicy policy;
   int arm0 = 0;
-  for (int i = 0; i < 200; ++i) arm0 += greedy.SelectArm(stats, &rng) == 0;
+  for (int i = 0; i < 200; ++i) arm0 += policy.SelectArm(stats, &rng) == 0;
   EXPECT_GT(arm0, 195);
 
-  SoftmaxOptions hot;
-  hot.temperature = 100.0;
-  SoftmaxPolicy uniform(hot);
+  // Equal means: uniform choice.
+  ArmStats tied(2);
+  tied.Record(0, 0.5);
+  tied.Record(1, 0.5);
   arm0 = 0;
-  for (int i = 0; i < 2000; ++i) arm0 += uniform.SelectArm(stats, &rng) == 0;
+  for (int i = 0; i < 2000; ++i) arm0 += policy.SelectArm(tied, &rng) == 0;
   EXPECT_NEAR(arm0, 1000, 150);
 }
 
@@ -333,10 +320,7 @@ TEST(Exp3Test, OnArmAddedStartsAtMaxActiveWeight) {
 }
 
 TEST(ThompsonTest, OnArmAddedStartsAtBarePrior) {
-  ThompsonOptions opts;
-  opts.prior_alpha = 1.0;
-  opts.prior_beta = 1.0;
-  ThompsonPolicy policy(opts);
+  ThompsonPolicy policy;
   ArmStats stats(2);
   policy.Reset(2);
   Rng rng(16);
@@ -363,6 +347,17 @@ TEST(PolicyFactoryTest, NamesRoundTrip) {
     EXPECT_FALSE(policy->name().empty());
   }
   EXPECT_STREQ(PolicyKindName(PolicyKind::kUcb1), "ucb1");
+}
+
+TEST(PolicyFactoryTest, NamesCarryTheFixedHyperparameters) {
+  // Policy names are part of every run label and DecisionLog key.
+  const char* const kWant[] = {"roundrobin",    "random",     "egreedy(0.10)",
+                               "ucb1(1.00)",    "swucb(200)", "thompson",
+                               "exp3",          "softmax(0.10)"};
+  for (size_t i = 0; i < std::size(kAllKinds); ++i) {
+    EXPECT_EQ(MakePolicy(kAllKinds[i])->name(), kWant[i]);
+    EXPECT_EQ(MakePolicy(kAllKinds[i])->Clone()->name(), kWant[i]);
+  }
 }
 
 }  // namespace

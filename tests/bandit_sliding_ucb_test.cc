@@ -22,24 +22,22 @@ TEST(SlidingUcbTest, TriesEveryArmFirst) {
   }
 }
 
+constexpr size_t kWindow = SlidingUcbPolicy::kWindow;
+
 TEST(SlidingUcbTest, WindowEvictsOldObservations) {
-  SlidingUcbOptions opts;
-  opts.window = 4;
-  SlidingUcbPolicy policy(opts);
+  SlidingUcbPolicy policy;
   policy.Reset(2);
-  for (int i = 0; i < 10; ++i) policy.Observe(0, 1.0);
-  EXPECT_EQ(policy.WindowPulls(0), 4u);
+  for (size_t i = 0; i < kWindow + 6; ++i) policy.Observe(0, 1.0);
+  EXPECT_EQ(policy.WindowPulls(0), kWindow);
   policy.Observe(1, 0.0);
-  EXPECT_EQ(policy.WindowPulls(0), 3u);
+  EXPECT_EQ(policy.WindowPulls(0), kWindow - 1);
   EXPECT_EQ(policy.WindowPulls(1), 1u);
 }
 
 TEST(SlidingUcbTest, EvictedArmGetsRetried) {
   // Once an arm's observations fully age out of the window, it has an
   // infinite index again and must be re-tried.
-  SlidingUcbOptions opts;
-  opts.window = 3;
-  SlidingUcbPolicy policy(opts);
+  SlidingUcbPolicy policy;
   ArmStats stats(2);
   policy.Reset(2);
   Rng rng(2);
@@ -47,8 +45,8 @@ TEST(SlidingUcbTest, EvictedArmGetsRetried) {
   policy.Observe(0, 1.0);
   stats.Record(1, 0.0);
   policy.Observe(1, 0.0);
-  // Push arm-1's observation out with three arm-0 wins.
-  for (int i = 0; i < 3; ++i) {
+  // Push arm-1's observation out with a window of arm-0 wins.
+  for (size_t i = 0; i < kWindow; ++i) {
     stats.Record(0, 1.0);
     policy.Observe(0, 1.0);
   }
@@ -59,26 +57,24 @@ TEST(SlidingUcbTest, EvictedArmGetsRetried) {
 TEST(SlidingUcbTest, TracksNonStationarySwitch) {
   // Arm 0 pays first, then dies; arm 1 starts paying. A windowed policy
   // must migrate; a lifetime-mean UCB would cling to arm 0 far longer.
-  SlidingUcbOptions opts;
-  opts.window = 50;
-  SlidingUcbPolicy policy(opts);
+  SlidingUcbPolicy policy;
   ArmStats stats(2);
   policy.Reset(2);
   Rng rng(3);
   auto reward_at = [](size_t arm, int t) {
-    bool first_phase = t < 300;
+    bool first_phase = t < 600;
     return (first_phase ? arm == 0 : arm == 1) ? 1.0 : 0.0;
   };
   int second_phase_arm1 = 0;
-  for (int t = 0; t < 600; ++t) {
+  for (int t = 0; t < 1200; ++t) {
     size_t arm = policy.SelectArm(stats, &rng);
     double r = reward_at(arm, t);
     stats.Record(arm, r);
     policy.Observe(arm, r);
-    if (t >= 400 && arm == 1) ++second_phase_arm1;
+    if (t >= 800 && arm == 1) ++second_phase_arm1;
   }
   // After the switch settles, most pulls go to arm 1.
-  EXPECT_GT(second_phase_arm1, 140);
+  EXPECT_GT(second_phase_arm1, 280);
 }
 
 TEST(SlidingUcbTest, SelectsOnlyActiveArms) {
@@ -121,12 +117,10 @@ TEST(SlidingUcbTest, OnArmAddedIsTriedAtNextOpportunity) {
 }
 
 TEST(SlidingUcbTest, NameAndClone) {
-  SlidingUcbOptions opts;
-  opts.window = 123;
-  SlidingUcbPolicy policy(opts);
-  EXPECT_EQ(policy.name(), "swucb(123)");
+  SlidingUcbPolicy policy;
+  EXPECT_EQ(policy.name(), "swucb(200)");
   auto clone = policy.Clone();
-  EXPECT_EQ(clone->name(), "swucb(123)");
+  EXPECT_EQ(clone->name(), "swucb(200)");
 }
 
 TEST(SlidingUcbDeathTest, RequiresReset) {

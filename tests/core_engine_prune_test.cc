@@ -8,8 +8,8 @@
 //  - the freeze lands exactly once, at a holdout-eval boundary at or after
 //    freeze_after_items, and is recorded consistently in the DecisionLog,
 //    the prune.* metrics, and the engine's actual dimension compaction;
-//  - a learner with no per-feature weights (kNN) disables the pruner into
-//    a byte-identical no-op rather than guessing.
+//  - a learner with no per-feature weights (majority class) disables the
+//    pruner into a byte-identical no-op rather than guessing.
 
 #include <cstdint>
 #include <string>
@@ -24,7 +24,7 @@
 #include "gtest/gtest.h"
 #include "index/kmeans_grouper.h"
 #include "ml/feature_pruner.h"
-#include "ml/knn.h"
+#include "ml/majority.h"
 #include "ml/naive_bayes.h"
 #include "obs/obs.h"
 #include "util/string_util.h"
@@ -182,11 +182,11 @@ TEST_F(EnginePruneTest, AggressivePrunesMoreThanConservative) {
 }
 
 TEST_F(EnginePruneTest, LearnerWithoutWeightsDisablesPruningAsNoOp) {
-  KnnLearner knn(3);
-  Outcome off = RunWith(FeaturePrunerOptions{}, knn);
+  MajorityClassLearner majority;
+  Outcome off = RunWith(FeaturePrunerOptions{}, majority);
   const FeaturePrunerOptions conservative = ConservativePruning();
-  Outcome on = RunWith(conservative, knn);
-  // kNN exports no per-feature weights: the pruner disables itself and the
+  Outcome on = RunWith(conservative, majority);
+  // The majority learner exports no per-feature weights: the pruner disables itself and the
   // run must be byte-identical to never having constructed it.
   EXPECT_EQ(on.freezes, 0u);
   EXPECT_EQ(on.fingerprint, off.fingerprint);

@@ -171,7 +171,6 @@ TEST(EngineTest, StratifiedHoldoutHitsTargetFraction) {
   Fixture f(4000);
   EngineOptions opts = f.SmallOptions();
   opts.holdout_size = 200;
-  opts.holdout_positive_fraction = 0.25;
   opts.stop.max_items = 50;
   opts.stop.plateau_enabled = false;
   ZombieEngine engine(&f.task.corpus, &f.task.pipeline, opts);
@@ -185,26 +184,6 @@ TEST(EngineTest, StratifiedHoldoutHitsTargetFraction) {
   int64_t holdout_pos = p.metrics.confusion.tp + p.metrics.confusion.fn;
   EXPECT_EQ(p.metrics.confusion.total(), 200);
   EXPECT_EQ(holdout_pos, 50);
-}
-
-TEST(EngineTest, NaturalHoldoutTracksBaseRate) {
-  Fixture f(4000);
-  EngineOptions opts = f.SmallOptions();
-  opts.holdout_size = 400;
-  opts.holdout_positive_fraction = -1.0;
-  opts.stop.max_items = 50;
-  opts.stop.plateau_enabled = false;
-  ZombieEngine engine(&f.task.corpus, &f.task.pipeline, opts);
-  EpsilonGreedyPolicy policy;
-  NaiveBayesLearner nb;
-  LabelReward reward;
-  RunResult r = engine.Run(RunSpec(f.Grouping(), policy, nb, reward));
-  const CurvePoint& p = r.curve.point(0);
-  double holdout_rate =
-      static_cast<double>(p.metrics.confusion.tp + p.metrics.confusion.fn) /
-      static_cast<double>(p.metrics.confusion.total());
-  double base = f.task.corpus.ComputeStats().positive_fraction;
-  EXPECT_NEAR(holdout_rate, base, 0.06);
 }
 
 TEST(EngineTest, ArmSummariesConsistent) {
@@ -275,27 +254,22 @@ TEST(EngineTest, DeclineRuleStopsDriftingRuns) {
   // Construct a run whose quality inevitably decays: after the rich
   // groups drain, the label-reward stream turns all-negative and a
   // recency-sensitive learner drifts. With plateau disabled, only the
-  // decline rule can stop it before exhaustion.
+  // decline rule can stop it before exhaustion. On this fixture it does,
+  // with the fixed rule (12 evaluations more than 0.08 below the peak).
   Fixture f(3000);
   EngineOptions opts = f.SmallOptions();
   opts.stop.plateau_enabled = false;
   opts.stop.decline_enabled = true;
-  opts.stop.decline_window = 6;
-  opts.stop.decline_margin = 0.03;
   ZombieEngine engine(&f.task.corpus, &f.task.pipeline, opts);
   EpsilonGreedyPolicy policy;
   LogisticRegressionLearner lr;
   LabelReward reward;
   RunResult r = engine.Run(RunSpec(f.Grouping(16), policy, lr, reward));
-  if (r.stop_reason == StopReason::kDecline) {
-    // The peak must sit clearly above where we stopped.
-    EXPECT_GT(r.curve.PeakQuality(), r.final_quality);
-    EXPECT_LT(r.items_processed, 2900u - 100u);
-  } else {
-    // Acceptable alternative on some seeds: the run drained the corpus
-    // without a clear >margin decline.
-    EXPECT_EQ(r.stop_reason, StopReason::kExhausted);
-  }
+  ASSERT_EQ(r.stop_reason, StopReason::kDecline);
+  // The peak sits more than the margin above where the run stopped, and
+  // the stop came well before the corpus drained.
+  EXPECT_GT(r.curve.PeakQuality(), r.final_quality + 0.08);
+  EXPECT_LT(r.items_processed, 2900u - 100u);
 }
 
 TEST(EngineTest, DeclineDisabledRunsToExhaustion) {

@@ -8,7 +8,8 @@
 // leave every index and every value bit where it was. Tests that compare
 // two modes of one build cannot see such a change, so this one hard-codes
 // FNV-1a digests of the extracted vectors for every revision of the WebCat
-// and EntityExtract revision scripts over small generated corpora.
+// revision script and of a six-revision EntityExtract script (defined
+// below) over small generated corpora.
 //
 // Updating the pins: a change that alters extraction bits on purpose
 // prints the new digests in the failure message as paste-ready rows; paste
@@ -18,12 +19,14 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "data/entity_generator.h"
 #include "data/webcat_generator.h"
+#include "featureeng/extractors.h"
 #include "featureeng/revision_script.h"
 #include "gtest/gtest.h"
 #include "util/string_util.h"
@@ -53,6 +56,63 @@ class Digest {
 };
 
 std::string Hex(uint64_t v) { return StrFormat("0x%016" PRIx64 "ull", v); }
+
+// The engineer's mention keywords: the first `count` target-topic terms.
+std::vector<uint32_t> MentionKeywords(const Corpus& corpus, size_t count) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < count; ++i) {
+    names.push_back(StrFormat("topic0_w%zu", i));
+  }
+  return ResolveTerms(corpus, names);
+}
+
+// A six-revision EntityExtract session focused on keyword and mention
+// features: it covers the bigram extractor at 2048 dimensions and the
+// keyword extractor at 8 and 16 terms, which the WebCat script does not.
+RevisionScript EntityRevisionScript() {
+  RevisionScript script;
+  script.Add("e0-bow1024", [](const Corpus&) {
+    FeaturePipeline p("e0-bow1024");
+    p.Add(std::make_unique<HashedBagOfWordsExtractor>(1024));
+    return p;
+  });
+  script.Add("e1-bow4096", [](const Corpus&) {
+    FeaturePipeline p("e1-bow4096");
+    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
+    return p;
+  });
+  script.Add("e2-mention-keywords", [](const Corpus& corpus) {
+    FeaturePipeline p("e2-mention-keywords");
+    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
+    p.Add(std::make_unique<KeywordExtractor>(MentionKeywords(corpus, 8)));
+    return p;
+  });
+  script.Add("e3-add-context", [](const Corpus& corpus) {
+    FeaturePipeline p("e3-add-context");
+    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
+    p.Add(std::make_unique<KeywordExtractor>(MentionKeywords(corpus, 8)));
+    p.Add(std::make_unique<HashedBigramExtractor>(2048));
+    return p;
+  });
+  script.Add("e4-add-domain", [](const Corpus& corpus) {
+    FeaturePipeline p("e4-add-domain");
+    p.Add(std::make_unique<HashedBagOfWordsExtractor>(4096));
+    p.Add(std::make_unique<KeywordExtractor>(MentionKeywords(corpus, 8)));
+    p.Add(std::make_unique<HashedBigramExtractor>(2048));
+    p.Add(std::make_unique<DomainExtractor>());
+    return p;
+  });
+  script.Add("e5-deep-context", [](const Corpus& corpus) {
+    FeaturePipeline p("e5-deep-context");
+    p.Add(std::make_unique<ExpensiveWrapperExtractor>(
+        std::make_unique<HashedBagOfWordsExtractor>(8192), 1.5));
+    p.Add(std::make_unique<KeywordExtractor>(MentionKeywords(corpus, 16)));
+    p.Add(std::make_unique<HashedBigramExtractor>(4096));
+    p.Add(std::make_unique<DomainExtractor>());
+    return p;
+  });
+  return script;
+}
 
 constexpr size_t kCorpusDocs = 400;
 
@@ -137,7 +197,7 @@ TEST(ExtractionGoldenTest, EntityRevisions) {
   opts.num_documents = kCorpusDocs;
   opts.seed = 4321;
   const Corpus corpus = GenerateEntityExtractCorpus(opts);
-  ExpectPins(ComputeDigests(MakeEntityRevisionScript(), corpus), kEntityPins);
+  ExpectPins(ComputeDigests(EntityRevisionScript(), corpus), kEntityPins);
 }
 
 }  // namespace

@@ -27,18 +27,6 @@ TEST(RevisionScriptTest, WebCatScriptBuildsEveryRevision) {
   }
 }
 
-TEST(RevisionScriptTest, EntityScriptBuildsEveryRevision) {
-  RevisionScript script = MakeEntityRevisionScript();
-  EXPECT_EQ(script.size(), 6u);
-  EntityExtractOptions opts;
-  opts.num_documents = 200;
-  Corpus corpus = GenerateEntityExtractCorpus(opts);
-  for (size_t i = 0; i < script.size(); ++i) {
-    FeaturePipeline p = script.BuildPipeline(i, corpus);
-    EXPECT_GT(p.dimension(), 0u) << script.name(i);
-  }
-}
-
 TEST(RevisionScriptTest, LaterRevisionsGrowRicher) {
   RevisionScript script = MakeWebCatRevisionScript();
   Corpus corpus = SmallWebCat();

@@ -274,8 +274,7 @@ TEST(IndexGoldenTest, KMeansGrouperOnCorpora) {
     SCOPED_TRACE(c.name);
     const Corpus& corpus =
         c.task == TaskKind::kWebCat ? webcat.corpus : entity.corpus;
-    const SignatureConfig sig_cfg;
-    const SignatureMatrix sigs = ComputeSignatures(corpus, sig_cfg);
+    const SignatureMatrix sigs = ComputeSignatures(corpus);
     Digest sd;
     AddMatrix(sigs.rows, &sd);
     sd.Add(static_cast<uint64_t>(sigs.virtual_cost_micros));
@@ -285,7 +284,7 @@ TEST(IndexGoldenTest, KMeansGrouperOnCorpora) {
     kcfg.seed = 7;
     const uint64_t km = ResultDigest(RunKMeans(sigs.rows, kcfg));
 
-    KMeansGrouper grouper(c.k, 7, sig_cfg);
+    KMeansGrouper grouper(c.k, 7);
     const uint64_t groups = GroupsDigest(grouper.Group(corpus));
 
     EXPECT_EQ(sd.value(), c.signatures_digest);

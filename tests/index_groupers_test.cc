@@ -151,11 +151,11 @@ TEST(TokenGrouperTest, GroupsMayOverlap) {
 
 TEST(TokenGrouperTest, RespectsMaxGroups) {
   Corpus corpus = TestCorpus(2000);
-  TokenGrouperOptions topts;
-  topts.max_groups = 5;
-  TokenGrouper g(topts);
+  TokenGrouper g;
   GroupingResult r = g.Group(corpus);
-  EXPECT_LE(r.num_groups(), 6u);  // 5 token groups + catch-all
+  // At most kTokenGroupsMax token groups + the catch-all, and the DF band
+  // of this corpus holds more candidates than that.
+  EXPECT_EQ(r.num_groups(), kTokenGroupsMax + 1);
 }
 
 TEST(MetadataGrouperTest, GroupsShareDomains) {

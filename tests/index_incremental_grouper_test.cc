@@ -455,14 +455,21 @@ TEST(IncrementalTokenTest, AppendOnlyWithCatchAllFallback) {
 }
 
 TEST(IncrementalTokenTest, CatchAllCatchesDocWithNoIndexedToken) {
-  Corpus corpus = TestCorpus();
-  TokenGrouperOptions opts;
-  // Impossibly tight DF band: no token qualifies, everything lands in the
-  // catch-all — which must still exist (unlike the offline TokenGrouper,
-  // where a fully-covering table can omit it).
-  opts.min_df_fraction = 0.999;
-  opts.max_df_fraction = 0.9999;
-  IncrementalTokenGrouper grouper(opts);
+  // Every document mentions the same two tokens, so both sit above the
+  // DF band and no token qualifies: everything lands in the catch-all —
+  // which must still exist (unlike the offline TokenGrouper, where a
+  // fully-covering table can omit it).
+  Corpus corpus;
+  corpus.mutable_vocabulary().GetOrAdd("a");
+  corpus.mutable_vocabulary().GetOrAdd("b");
+  corpus.AddDomain("d");
+  for (uint64_t i = 0; i < 620; ++i) {
+    Document doc;
+    doc.id = i;
+    doc.tokens = {0, 1, 0};
+    corpus.AddDocument(std::move(doc));
+  }
+  IncrementalTokenGrouper grouper;
   GroupingResult grouping = grouper.GroupBase(corpus, 600);
   EXPECT_TRUE(grouping.Validate(600).ok());
   EXPECT_EQ(grouper.num_groups(), 1u);

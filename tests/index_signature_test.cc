@@ -21,102 +21,97 @@ Document Doc(std::vector<uint32_t> tokens, uint32_t domain = 0,
   return d;
 }
 
+constexpr size_t kTokenDims = kSignatureDimensions - 2;
+
 TEST(SignatureTest, DimensionAndDeterminism) {
-  SignatureConfig cfg;
-  cfg.dimensions = 32;
   Document d = Doc({1, 2, 3, 4});
-  std::vector<double> a = ComputeSignature(d, cfg);
-  std::vector<double> b = ComputeSignature(d, cfg);
-  EXPECT_EQ(a.size(), 32u);
+  std::vector<double> a = ComputeSignature(d);
+  std::vector<double> b = ComputeSignature(d);
+  EXPECT_EQ(a.size(), kSignatureDimensions);
   EXPECT_EQ(a, b);
 }
 
 TEST(SignatureTest, TokenChannelsL2Normalized) {
-  SignatureConfig cfg;
-  cfg.dimensions = 16;
-  cfg.include_length = false;
-  cfg.include_domain = false;
-  std::vector<double> s = ComputeSignature(Doc({1, 2, 3, 4, 5}), cfg);
+  std::vector<double> s = ComputeSignature(Doc({1, 2, 3, 4, 5}));
   double norm_sq = 0.0;
-  for (double v : s) norm_sq += v * v;
+  for (size_t i = 0; i < kTokenDims; ++i) norm_sq += s[i] * s[i];
   EXPECT_NEAR(norm_sq, 1.0, 1e-12);
 }
 
 TEST(SignatureTest, EmptyDocumentIsZeroTokenChannels) {
-  SignatureConfig cfg;
-  cfg.dimensions = 8;
-  std::vector<double> s = ComputeSignature(Doc({}), cfg);
+  std::vector<double> s = ComputeSignature(Doc({}));
   // Token dims are zero; scalar channels may be nonzero.
-  for (size_t i = 0; i + 2 < s.size(); ++i) EXPECT_EQ(s[i], 0.0);
+  for (size_t i = 0; i < kTokenDims; ++i) EXPECT_EQ(s[i], 0.0);
 }
 
 TEST(SignatureTest, PrefixOnlyReadsMaxTokens) {
-  SignatureConfig cfg;
-  cfg.dimensions = 16;
-  cfg.max_tokens = 3;
-  cfg.include_length = false;  // length reads full size; exclude
-  cfg.include_domain = false;
-  std::vector<uint32_t> base = {1, 2, 3};
-  std::vector<uint32_t> longer = {1, 2, 3, 99, 98, 97};
-  EXPECT_EQ(ComputeSignature(Doc(base), cfg),
-            ComputeSignature(Doc(longer), cfg));
+  std::vector<uint32_t> base(kSignatureMaxTokens);
+  for (size_t i = 0; i < base.size(); ++i) {
+    base[i] = static_cast<uint32_t>(i % 37);
+  }
+  std::vector<uint32_t> longer = base;
+  longer.insert(longer.end(), {99, 98, 97});
+  std::vector<double> a = ComputeSignature(Doc(base));
+  std::vector<double> b = ComputeSignature(Doc(longer));
+  // Token channels read only the prefix; the length channel reads the
+  // full size.
+  EXPECT_TRUE(std::equal(a.begin(), a.begin() + kTokenDims, b.begin()));
+  EXPECT_NE(a[kTokenDims], b[kTokenDims]);
 }
 
 TEST(SignatureTest, DomainChannelDistinguishesDomains) {
-  SignatureConfig cfg;
-  cfg.dimensions = 8;
-  std::vector<double> a = ComputeSignature(Doc({1}, 3), cfg);
-  std::vector<double> b = ComputeSignature(Doc({1}, 4), cfg);
+  std::vector<double> a = ComputeSignature(Doc({1}, 3));
+  std::vector<double> b = ComputeSignature(Doc({1}, 4));
   EXPECT_NE(a.back(), b.back());
+}
+
+TEST(SignatureTest, IdfWeightsTokens) {
+  std::vector<double> idf(10, 1.0);
+  idf[2] = 0.0;  // a token every document has carries no weight
+  const std::vector<double> weighted = ComputeSignature(Doc({1, 2}), &idf);
+  const std::vector<double> unweighted = ComputeSignature(Doc({1, 2}));
+  const std::vector<double> only1 = ComputeSignature(Doc({1}));
+  EXPECT_FALSE(std::equal(weighted.begin(), weighted.begin() + kTokenDims,
+                          unweighted.begin()));
+  EXPECT_TRUE(std::equal(weighted.begin(), weighted.begin() + kTokenDims,
+                         only1.begin()));
 }
 
 TEST(SignatureMatrixTest, RowsAndVirtualCost) {
   WebCatOptions opts;
   opts.num_documents = 100;
   Corpus corpus = GenerateWebCatCorpus(opts);
-  SignatureConfig cfg;
-  cfg.use_idf = false;
-  SignatureMatrix m = ComputeSignatures(corpus, cfg);
+  PrefixSignatures p = ComputeSignaturesForPrefix(corpus, corpus.size());
+  const SignatureMatrix& m = p.matrix;
   EXPECT_EQ(m.rows.num_rows(), 100u);
-  EXPECT_EQ(m.rows.dim(), cfg.dimensions);
+  EXPECT_EQ(m.rows.dim(), kSignatureDimensions);
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(m.rows.RowVector(i), ComputeSignature(corpus.doc(i), cfg));
+    EXPECT_EQ(m.rows.RowVector(i), ComputeSignature(corpus.doc(i), &p.idf));
   }
-  // One pass at cost_fraction of full extraction.
+  EXPECT_EQ(ComputeSignatures(corpus).virtual_cost_micros,
+            m.virtual_cost_micros);
+  // Two passes (document frequencies, then signatures), each at
+  // kSignatureCostFraction of full extraction.
   double expected = 0.0;
   for (const auto& d : corpus.documents()) {
-    expected += cfg.cost_fraction * static_cast<double>(d.extraction_cost_micros);
+    expected += 2.0 * kSignatureCostFraction *
+                static_cast<double>(d.extraction_cost_micros);
   }
   EXPECT_NEAR(static_cast<double>(m.virtual_cost_micros), expected, 2.0);
-}
-
-TEST(SignatureMatrixTest, IdfDoublesScanCost) {
-  WebCatOptions opts;
-  opts.num_documents = 100;
-  Corpus corpus = GenerateWebCatCorpus(opts);
-  SignatureConfig no_idf;
-  no_idf.use_idf = false;
-  SignatureConfig with_idf;
-  with_idf.use_idf = true;
-  int64_t base = ComputeSignatures(corpus, no_idf).virtual_cost_micros;
-  int64_t idf = ComputeSignatures(corpus, with_idf).virtual_cost_micros;
-  EXPECT_NEAR(static_cast<double>(idf), 2.0 * static_cast<double>(base), 4.0);
 }
 
 TEST(SignatureMatrixTest, PrefixIdfCountsEachTokenOncePerDocument) {
   WebCatOptions opts;
   opts.num_documents = 300;
   Corpus corpus = GenerateWebCatCorpus(opts);
-  SignatureConfig cfg;
-  cfg.max_tokens = 50;
   const size_t prefix = 200;
-  PrefixSignatures p = ComputeSignaturesForPrefix(corpus, prefix, cfg);
+  PrefixSignatures p = ComputeSignaturesForPrefix(corpus, prefix);
   // Reference DF: a set of each document's signature prefix.
   std::vector<uint32_t> df(corpus.vocabulary().size(), 0);
   size_t repeats = 0;
   for (size_t i = 0; i < prefix; ++i) {
     const auto& tokens = corpus.doc(i).tokens;
-    const size_t limit = std::min(cfg.max_tokens, tokens.size());
+    const size_t limit = std::min(kSignatureMaxTokens, tokens.size());
     std::set<uint32_t> uniq(tokens.begin(), tokens.begin() + limit);
     repeats += limit - uniq.size();
     for (uint32_t tok : uniq) ++df[tok];
@@ -131,32 +126,25 @@ TEST(SignatureMatrixTest, PrefixIdfCountsEachTokenOncePerDocument) {
 }
 
 TEST(SignatureMatrixTest, IdfClusteringConcentratesPositives) {
-  // The property k-means needs from signatures: with the default IDF
-  // weighting, clusters concentrate target-topic documents far above the
-  // base rate even when topical tokens are a minority of the content.
-  // (Whether IDF beats raw hashing depends on topic share; at the default
-  // low share it does — see the kmeans purity checks in DESIGN.md.)
+  // The property k-means needs from signatures: with IDF weighting,
+  // clusters concentrate target-topic documents far above the base rate
+  // even when topical tokens are a minority of the content.
   WebCatOptions opts;
   opts.num_documents = 6000;
   opts.positive_fraction = 0.1;
   opts.topic_token_share = 0.22;
   Corpus corpus = GenerateWebCatCorpus(opts);
-  auto best_rate = [&](bool use_idf) {
-    SignatureConfig cfg;
-    cfg.use_idf = use_idf;
-    KMeansGrouper grouper(16, 7, cfg);
-    GroupingResult r = grouper.Group(corpus);
-    double best = 0.0;
-    for (const auto& grp : r.groups) {
-      if (grp.size() < 30) continue;
-      size_t pos = 0;
-      for (uint32_t d : grp) pos += corpus.doc(d).label == 1;
-      best = std::max(best, static_cast<double>(pos) / grp.size());
-    }
-    return best;
-  };
+  KMeansGrouper grouper(16, 7);
+  GroupingResult r = grouper.Group(corpus);
+  double best = 0.0;
+  for (const auto& grp : r.groups) {
+    if (grp.size() < 30) continue;
+    size_t pos = 0;
+    for (uint32_t d : grp) pos += corpus.doc(d).label == 1;
+    best = std::max(best, static_cast<double>(pos) / grp.size());
+  }
   double base = corpus.ComputeStats().positive_fraction;
-  EXPECT_GT(best_rate(true), 3.0 * base);
+  EXPECT_GT(best, 3.0 * base);
 }
 
 }  // namespace

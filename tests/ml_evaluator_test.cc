@@ -31,28 +31,6 @@ TEST(DatasetTest, PositiveCounting) {
   EXPECT_NEAR(d.positive_fraction(), 2.0 / 3.0, 1e-12);
 }
 
-TEST(DatasetTest, SplitTrainTestPartitions) {
-  Rng rng(1);
-  Dataset d = TwoFeatureData(100, &rng);
-  auto [train, test] = d.SplitTrainTest(0.25, &rng);
-  EXPECT_EQ(test.size(), 25u);
-  EXPECT_EQ(train.size(), 75u);
-}
-
-TEST(DatasetTest, SplitFoldsCoverEverything) {
-  Rng rng(2);
-  Dataset d = TwoFeatureData(103, &rng);
-  auto folds = d.SplitFolds(5, &rng);
-  ASSERT_EQ(folds.size(), 5u);
-  size_t total = 0;
-  for (const auto& f : folds) {
-    total += f.size();
-    EXPECT_GE(f.size(), 20u);
-    EXPECT_LE(f.size(), 21u);
-  }
-  EXPECT_EQ(total, 103u);
-}
-
 TEST(DatasetTest, ShuffleKeepsContents) {
   Rng rng(3);
   Dataset d = TwoFeatureData(50, &rng);
@@ -77,37 +55,17 @@ TEST(HoldoutEvaluatorTest, EvaluatesAgainstFixedSet) {
   EXPECT_EQ(eval.size(), 100u);
 
   NaiveBayesLearner nb;
-  double untrained = eval.Quality(nb, QualityMetric::kF1);
+  double untrained = eval.Evaluate(nb).f1;
   EXPECT_EQ(untrained, 0.0);  // scores 0 -> all negative
 
   Dataset train = TwoFeatureData(200, &rng);
   TrainEpochs(&nb, train, 2, &rng);
-  EXPECT_GT(eval.Quality(nb, QualityMetric::kF1), 0.95);
+  EXPECT_GT(eval.Evaluate(nb).f1, 0.95);
   EXPECT_GT(eval.Evaluate(nb).accuracy, 0.95);
 }
 
 TEST(HoldoutEvaluatorDeathTest, EmptyHoldoutAborts) {
   EXPECT_DEATH(HoldoutEvaluator{Dataset()}, "non-empty");
-}
-
-TEST(CrossValidateTest, HighQualityOnLearnableTask) {
-  Rng rng(6);
-  Dataset d = TwoFeatureData(200, &rng);
-  NaiveBayesLearner proto;
-  CrossValidationResult cv =
-      CrossValidate(proto, d, 5, 2, QualityMetric::kAccuracy, &rng);
-  EXPECT_EQ(cv.fold_qualities.size(), 5u);
-  EXPECT_GT(cv.mean_quality, 0.95);
-  EXPECT_LT(cv.stddev_quality, 0.1);
-}
-
-TEST(CrossValidateTest, FoldCountRespected) {
-  Rng rng(7);
-  Dataset d = TwoFeatureData(60, &rng);
-  NaiveBayesLearner proto;
-  CrossValidationResult cv =
-      CrossValidate(proto, d, 3, 1, QualityMetric::kF1, &rng);
-  EXPECT_EQ(cv.fold_qualities.size(), 3u);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "ml/adagrad_lr.h"
 #include "ml/dataset.h"
 #include "ml/evaluator.h"
-#include "ml/knn.h"
 #include "ml/logistic_regression.h"
 #include "ml/majority.h"
 #include "ml/metrics.h"
@@ -49,7 +48,6 @@ std::vector<std::unique_ptr<Learner>> AllLearners() {
   out.push_back(std::make_unique<LogisticRegressionLearner>());
   out.push_back(std::make_unique<AveragedPerceptronLearner>());
   out.push_back(std::make_unique<PegasosSvmLearner>());
-  out.push_back(std::make_unique<KnnLearner>(3));
   out.push_back(std::make_unique<AdaGradLogisticLearner>());
   return out;
 }
@@ -130,10 +128,7 @@ TEST_P(EveryLearnerTest, ExportWeightMagnitudesMatchesSupportContract) {
   TrainEpochs(learner.get(), train, 2, &rng);
   std::vector<double> mags;
   const bool supported = learner->ExportWeightMagnitudes(&mags);
-  // kNN has no per-feature weights; the pruner must see false and disable
-  // itself. Every other learner under test exports magnitudes.
-  EXPECT_EQ(supported, learner->name() != "knn") << learner->name();
-  if (!supported) return;
+  ASSERT_TRUE(supported) << learner->name();
   double max_mag = 0.0;
   for (double m : mags) {
     EXPECT_GE(m, 0.0) << learner->name();
@@ -185,17 +180,7 @@ TEST_P(EveryLearnerTest, CompactFeaturesPreservesScoresBitExactly) {
     want_bits.push_back(bits);
   }
 
-  if (!learner->CompactFeatures(old_to_new, next)) {
-    // Unsupported (kNN): state must be untouched — original scores stand.
-    EXPECT_EQ(learner->name(), "knn");
-    for (size_t i = 0; i < filtered.size(); ++i) {
-      uint64_t bits = 0;
-      const double s = learner->Score(filtered[i]);
-      std::memcpy(&bits, &s, sizeof(bits));
-      EXPECT_EQ(bits, want_bits[i]) << "example " << i;
-    }
-    return;
-  }
+  ASSERT_TRUE(learner->CompactFeatures(old_to_new, next)) << learner->name();
   for (size_t i = 0; i < remapped.size(); ++i) {
     uint64_t bits = 0;
     const double s = learner->Score(remapped[i]);
@@ -210,7 +195,7 @@ TEST_P(EveryLearnerTest, CompactFeaturesPreservesScoresBitExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLearners, EveryLearnerTest,
-                         testing::Values(0, 1, 2, 3, 4, 5));
+                         testing::Values(0, 1, 2, 3, 4));
 
 // --- ScoreBatch: the batched scoring path ----------------------------------
 
@@ -349,22 +334,6 @@ TEST(LogisticRegressionTest, WeightAccessors) {
   EXPECT_EQ(lr.WeightAt(999), 0.0);
 }
 
-TEST(LogisticRegressionTest, RegularizationShrinksWeights) {
-  LogisticRegressionOptions strong;
-  strong.lambda = 0.5;
-  LogisticRegressionOptions weak;
-  weak.lambda = 1e-6;
-  LogisticRegressionLearner lr_strong(strong);
-  LogisticRegressionLearner lr_weak(weak);
-  for (int i = 0; i < 300; ++i) {
-    lr_strong.Update(V({{0, 1.0}}), 1);
-    lr_strong.Update(V({{1, 1.0}}), 0);
-    lr_weak.Update(V({{0, 1.0}}), 1);
-    lr_weak.Update(V({{1, 1.0}}), 0);
-  }
-  EXPECT_LT(std::abs(lr_strong.WeightAt(0)), std::abs(lr_weak.WeightAt(0)));
-}
-
 TEST(PerceptronTest, NoUpdateWhenCorrect) {
   AveragedPerceptronLearner p;
   p.Update(V({{0, 1.0}}), 1);  // first example always a "mistake" (margin 0)
@@ -427,21 +396,6 @@ TEST(AdaGradTest, WeightAtOutOfRangeIsZero) {
   EXPECT_EQ(lr.WeightAt(1234), 0.0);
 }
 
-TEST(KnnTest, UsesNearestNeighbors) {
-  KnnLearner knn(3);
-  knn.Update(V({{0, 1.0}}), 1);
-  knn.Update(V({{0, 1.0}, {1, 0.1}}), 1);
-  knn.Update(V({{5, 1.0}}), 0);
-  knn.Update(V({{5, 1.0}, {6, 0.1}}), 0);
-  EXPECT_GT(knn.Score(V({{0, 1.0}, {1, 0.05}})), 0.0);
-  EXPECT_LT(knn.Score(V({{5, 1.0}})), 0.0);
-}
-
-TEST(KnnTest, EmptyMemoryScoresZero) {
-  KnnLearner knn(5);
-  EXPECT_EQ(knn.Score(V({{0, 1.0}})), 0.0);
-}
-
 TEST(MajorityTest, TracksSeenBalance) {
   MajorityClassLearner m;
   SparseVector x;
@@ -451,6 +405,19 @@ TEST(MajorityTest, TracksSeenBalance) {
   m.Update(x, 0);
   m.Update(x, 0);
   EXPECT_LT(m.Score(x), 0.0);
+}
+
+TEST(MajorityTest, ExportsNoWeightsAndRefusesCompaction) {
+  // The pruner's "unsupported learner" path: no magnitudes, and a refused
+  // compaction leaves the model untouched.
+  MajorityClassLearner m;
+  m.Update(V({{0, 1.0}}), 1);
+  std::vector<double> mags;
+  EXPECT_FALSE(m.ExportWeightMagnitudes(&mags));
+  const double before = m.Score(V({{0, 1.0}}));
+  EXPECT_FALSE(m.CompactFeatures({0}, 1));
+  EXPECT_EQ(m.Score(V({{0, 1.0}})), before);
+  EXPECT_EQ(m.num_updates(), 1u);
 }
 
 }  // namespace

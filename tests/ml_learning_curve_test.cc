@@ -18,8 +18,6 @@ TEST(LearningCurveTest, EmptyDefaults) {
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.FinalQuality(), 0.0);
   EXPECT_EQ(c.PeakQuality(), 0.0);
-  EXPECT_EQ(c.TimeToQuality(0.5), -1);
-  EXPECT_EQ(c.ItemsToQuality(0.5), -1);
 }
 
 TEST(LearningCurveTest, FinalAndPeak) {
@@ -30,44 +28,6 @@ TEST(LearningCurveTest, FinalAndPeak) {
   EXPECT_DOUBLE_EQ(c.FinalQuality(), 0.6);
   EXPECT_DOUBLE_EQ(c.PeakQuality(), 0.8);
   EXPECT_EQ(c.size(), 3u);
-}
-
-TEST(LearningCurveTest, TimeAndItemsToQuality) {
-  LearningCurve c;
-  c.Add(P(0, 0, 0.0));
-  c.Add(P(10, 1000, 0.3));
-  c.Add(P(20, 2000, 0.7));
-  c.Add(P(30, 3000, 0.9));
-  EXPECT_EQ(c.TimeToQuality(0.5), 2000);
-  EXPECT_EQ(c.ItemsToQuality(0.5), 20);
-  EXPECT_EQ(c.TimeToQuality(0.0), 0);
-  EXPECT_EQ(c.TimeToQuality(0.95), -1);
-}
-
-TEST(LearningCurveTest, NormalizedAucOrdering) {
-  // A fast learner's curve dominates a slow one.
-  LearningCurve fast;
-  fast.Add(P(0, 0, 0.0));
-  fast.Add(P(10, 100, 0.9));
-  fast.Add(P(20, 200, 0.9));
-  LearningCurve slow;
-  slow.Add(P(0, 0, 0.0));
-  slow.Add(P(10, 100, 0.1));
-  slow.Add(P(20, 200, 0.9));
-  EXPECT_GT(fast.NormalizedAucItems(), slow.NormalizedAucItems());
-}
-
-TEST(LearningCurveTest, NormalizedAucConstantCurve) {
-  LearningCurve c;
-  c.Add(P(0, 0, 0.5));
-  c.Add(P(100, 1000, 0.5));
-  EXPECT_NEAR(c.NormalizedAucItems(), 0.5, 1e-12);
-}
-
-TEST(LearningCurveTest, SinglePointAucIsFinal) {
-  LearningCurve c;
-  c.Add(P(5, 50, 0.42));
-  EXPECT_DOUBLE_EQ(c.NormalizedAucItems(), 0.42);
 }
 
 TEST(LearningCurveTest, CsvHasHeaderAndRows) {

@@ -85,19 +85,6 @@ TEST(AucTest, MidrankHandlesMixedTies) {
   EXPECT_DOUBLE_EQ(AucFromScores({1.0, 1.0}, {1, 0}), 0.5);
 }
 
-TEST(QualityMetricTest, SelectorAndNames) {
-  BinaryMetrics m;
-  m.f1 = 0.1;
-  m.accuracy = 0.2;
-  m.auc = 0.3;
-  EXPECT_DOUBLE_EQ(QualityOf(m, QualityMetric::kF1), 0.1);
-  EXPECT_DOUBLE_EQ(QualityOf(m, QualityMetric::kAccuracy), 0.2);
-  EXPECT_DOUBLE_EQ(QualityOf(m, QualityMetric::kAuc), 0.3);
-  EXPECT_STREQ(QualityMetricName(QualityMetric::kF1), "f1");
-  EXPECT_STREQ(QualityMetricName(QualityMetric::kAccuracy), "accuracy");
-  EXPECT_STREQ(QualityMetricName(QualityMetric::kAuc), "auc");
-}
-
 TEST(EvaluateLearnerTest, UntrainedModelPredictsNegative) {
   // Untrained learners score 0; ties classify negative, so recall is 0,
   // not 1 (see learner.h).

@@ -1,23 +1,20 @@
 // Differential test for the radix counting routine (text/term_counts.h)
 // against the comparison-sort merge it replaced, kept verbatim below as
 // ReferenceNormalize. Every comparison is bitwise (memcmp of the index and
-// of the value's bytes), so a count that came out as -0.0 instead of +0.0,
-// or a zero-sum entry that went missing, fails.
+// of the value's bytes), so a count with other bits, or an entry that went
+// missing, fails.
 
 #include "text/term_counts.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "text/hashing_vectorizer.h"
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace zombie {
 namespace {
@@ -38,15 +35,13 @@ void ReferenceNormalize(TermCounts* counts) {
   counts->resize(w);
 }
 
-// The pre-radix HashingVectorizer body: one (index, ±1.0) pair per token.
+// The pre-radix HashingVectorizer body: one (index, 1.0) pair per token.
 TermCounts ReferenceHash(const std::vector<uint64_t>& token_hashes,
-                         uint32_t dimension, bool signed_hash, uint64_t salt) {
+                         uint32_t dimension, uint64_t salt) {
   TermCounts counts;
   for (uint64_t token_hash : token_hashes) {
     uint64_t h = HashCombine(token_hash, salt);
-    double sign = 1.0;
-    if (signed_hash && ((h >> 32) & 1) != 0) sign = -1.0;
-    counts.emplace_back(static_cast<uint32_t>(h % dimension), sign);
+    counts.emplace_back(static_cast<uint32_t>(h % dimension), 1.0);
   }
   ReferenceNormalize(&counts);
   return counts;
@@ -95,88 +90,53 @@ std::vector<std::pair<std::string, std::vector<uint32_t>>> Inputs() {
   return out;
 }
 
-TEST(TermCountsTest, TransformIdsMatchesSortReference) {
+TEST(TermCountsTest, CountHashesMatchesSortReference) {
   for (uint32_t dim : kDimensions) {
-    for (bool sign : {false, true}) {
-      HashingVectorizer v(dim, sign, /*salt=*/9);
-      for (const auto& [name, ids] : Inputs()) {
-        std::vector<uint64_t> hashes(ids.begin(), ids.end());
-        EXPECT_TRUE(BitEqual(ReferenceHash(hashes, dim, sign, 9),
-                             v.TransformIds(ids)))
-            << name << " dim=" << dim << " signed=" << sign;
+    HashingVectorizer v(dim, /*salt=*/9);
+    for (const auto& [name, ids] : Inputs()) {
+      std::vector<uint64_t> hashes(ids.begin(), ids.end());
+      // Token ids (the bag of words) and arbitrary 64-bit hashes (the
+      // bigram extractor's pair hashes).
+      for (uint64_t mix : {uint64_t{1}, uint64_t{0x9E3779B97F4A7C15ull}}) {
+        std::vector<uint64_t> token_hashes = hashes;
+        for (uint64_t& h : token_hashes) h *= mix;
+        TermCounts got = {{1, 1.0}};  // CountHashes appends
+        v.CountHashes(
+            token_hashes.size(),
+            [&](size_t i) { return token_hashes[i]; }, &got);
+        got.erase(got.begin());
+        EXPECT_TRUE(BitEqual(ReferenceHash(token_hashes, dim, 9), got))
+            << name << " dim=" << dim << " mix=" << mix;
       }
     }
   }
 }
 
-TEST(TermCountsTest, TransformAndViewsMatchSortReference) {
-  for (uint32_t dim : kDimensions) {
-    for (bool sign : {false, true}) {
-      HashingVectorizer v(dim, sign, /*salt=*/3);
-      for (const auto& [name, ids] : Inputs()) {
-        std::vector<std::string> tokens;
-        std::vector<uint64_t> hashes;
-        for (uint32_t id : ids) {
-          tokens.push_back(StrFormat("t%u", id));
-          hashes.push_back(HashBytes(tokens.back().data(),
-                                     tokens.back().size()));
-        }
-        const TermCounts want = ReferenceHash(hashes, dim, sign, 3);
-        EXPECT_TRUE(BitEqual(want, v.Transform(tokens)))
-            << name << " dim=" << dim << " signed=" << sign;
-        std::vector<std::string_view> views(tokens.begin(), tokens.end());
-        TermCounts scratch = {{1, 1.0}};  // must be cleared
-        v.TransformViews(views, &scratch);
-        EXPECT_TRUE(BitEqual(want, scratch))
-            << name << " dim=" << dim << " signed=" << sign;
-      }
-    }
-  }
-}
-
-// Crafted (index, sign) lists straight into CountIndices, including the
-// largest index of each space and runs whose signs cancel to zero.
+// Crafted index lists straight into CountIndices, including the largest
+// index of each space.
 TEST(TermCountsTest, CountIndicesMatchesSortReference) {
   Rng rng(7);
-  bool saw_zero_sum = false;
   for (uint32_t dim : kDimensions) {
     for (size_t n : {0, 1, 2, 9, 300, 5000}) {
-      for (bool sign : {false, true}) {
-        std::vector<uint32_t> positive;
-        std::vector<uint32_t> negative;
-        TermCounts pairs;
-        for (size_t i = 0; i < n; ++i) {
-          // A quarter of the draws land on the last index or on 0.
-          uint32_t idx = static_cast<uint32_t>(rng.NextBelow(dim));
-          if (i % 8 == 0) idx = dim - 1;
-          if (i % 8 == 1) idx = 0;
-          const bool neg = sign && rng.NextBernoulli(0.5);
-          (neg ? negative : positive).push_back(idx);
-          pairs.emplace_back(idx, neg ? -1.0 : 1.0);
-        }
-        ReferenceNormalize(&pairs);
-        for (const auto& [idx, value] : pairs) saw_zero_sum |= value == 0.0;
-        TermCounts got = {{42, 4.2}};  // CountIndices appends
-        CountIndices(&positive, sign ? &negative : nullptr, dim - 1, &got);
-        ASSERT_FALSE(got.empty());
-        EXPECT_EQ(got[0], (std::pair<uint32_t, double>{42, 4.2}));
-        got.erase(got.begin());
-        EXPECT_TRUE(BitEqual(pairs, got))
-            << "n=" << n << " dim=" << dim << " signed=" << sign;
+      std::vector<uint32_t> indices;
+      TermCounts pairs;
+      for (size_t i = 0; i < n; ++i) {
+        // A quarter of the draws land on the last index or on 0.
+        uint32_t idx = static_cast<uint32_t>(rng.NextBelow(dim));
+        if (i % 8 == 0) idx = dim - 1;
+        if (i % 8 == 1) idx = 0;
+        indices.push_back(idx);
+        pairs.emplace_back(idx, 1.0);
       }
+      ReferenceNormalize(&pairs);
+      TermCounts got = {{42, 4.2}};  // CountIndices appends
+      CountIndices(&indices, dim - 1, &got);
+      ASSERT_FALSE(got.empty());
+      EXPECT_EQ(got[0], (std::pair<uint32_t, double>{42, 4.2}));
+      got.erase(got.begin());
+      EXPECT_TRUE(BitEqual(pairs, got)) << "n=" << n << " dim=" << dim;
     }
   }
-  EXPECT_TRUE(saw_zero_sum) << "no input exercised a cancelled count";
-}
-
-TEST(TermCountsTest, CancelledCountIsPositiveZero) {
-  std::vector<uint32_t> positive = {5, 5, 9};
-  std::vector<uint32_t> negative = {5, 9, 2};
-  TermCounts got;
-  CountIndices(&positive, &negative, 255, &got);
-  const TermCounts want = {{2, -1.0}, {5, 1.0}, {9, 0.0}};
-  EXPECT_TRUE(BitEqual(want, got));
-  EXPECT_FALSE(std::signbit(got[2].second));
 }
 
 TEST(TermCountsTest, CountTokenIdsMatchesSortReference) {

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <string_view>
+#include <cstdint>
 #include <vector>
 
 #include "text/term_counts.h"
+#include "util/random.h"
 
 namespace zombie {
 namespace {
@@ -18,102 +18,85 @@ bool IsSortedUnique(const TermCounts& counts) {
   return true;
 }
 
+// Hashes token ids the way the bag-of-words extractor does.
+TermCounts CountIds(const HashingVectorizer& v,
+                    const std::vector<uint32_t>& ids) {
+  TermCounts out;
+  v.CountHashes(
+      ids.size(), [&](size_t i) -> uint64_t { return ids[i]; }, &out);
+  return out;
+}
+
+// Where a single token id lands.
+uint32_t IndexOf(const HashingVectorizer& v, uint32_t id) {
+  TermCounts c = CountIds(v, {id});
+  EXPECT_EQ(c.size(), 1u);
+  return c.empty() ? 0 : c[0].first;
+}
+
 TEST(HashingVectorizerTest, IndicesWithinDimension) {
-  HashingVectorizer v(16);
-  TermCounts c = v.Transform({"a", "b", "c", "d", "e", "f"});
-  for (const auto& [idx, value] : c) EXPECT_LT(idx, 16u);
-  EXPECT_TRUE(IsSortedUnique(c));
+  for (uint32_t dim : {16u, 7u}) {
+    HashingVectorizer v(dim);
+    TermCounts c = CountIds(v, {1, 2, 3, 4, 5, 6, 70000, 0xFFFFFFFFu});
+    for (const auto& [idx, value] : c) EXPECT_LT(idx, dim);
+    EXPECT_TRUE(IsSortedUnique(c));
+  }
 }
 
 TEST(HashingVectorizerTest, RepeatedTokensSum) {
   HashingVectorizer v(1024);
-  TermCounts c = v.Transform({"dup", "dup", "dup"});
+  TermCounts c = CountIds(v, {42, 42, 42});
   ASSERT_EQ(c.size(), 1u);
-  EXPECT_DOUBLE_EQ(c[0].second, 3.0);
+  EXPECT_EQ(c[0].second, 3.0);
+
+  TermCounts mixed = CountIds(v, {1, 2, 3, 1, 2, 1});
+  double total = 0.0;
+  for (const auto& [idx, value] : mixed) total += value;
+  EXPECT_EQ(total, 6.0);
 }
 
 TEST(HashingVectorizerTest, DeterministicAcrossInstances) {
-  HashingVectorizer a(256);
-  HashingVectorizer b(256);
-  EXPECT_EQ(a.Transform({"x", "y"}), b.Transform({"x", "y"}));
-  EXPECT_EQ(a.IndexOf("zed"), b.IndexOf("zed"));
+  HashingVectorizer a(256, /*salt=*/5);
+  HashingVectorizer b(256, /*salt=*/5);
+  EXPECT_EQ(CountIds(a, {10, 11, 12, 10}), CountIds(b, {10, 11, 12, 10}));
 }
 
 TEST(HashingVectorizerTest, SaltChangesMapping) {
-  HashingVectorizer a(1 << 20, false, 0);
-  HashingVectorizer b(1 << 20, false, 1);
-  EXPECT_NE(a.IndexOf("token"), b.IndexOf("token"));
+  HashingVectorizer a(1 << 20, /*salt=*/0);
+  HashingVectorizer b(1 << 20, /*salt=*/1);
+  EXPECT_EQ(a.salt(), 0u);
+  EXPECT_EQ(b.salt(), 1u);
+  EXPECT_NE(IndexOf(a, 12345), IndexOf(b, 12345));
 }
 
-TEST(HashingVectorizerTest, TransformIdsMatchesDimension) {
-  HashingVectorizer v(64);
-  TermCounts c = v.TransformIds({1, 2, 3, 1, 2, 1});
-  double total = 0.0;
-  for (const auto& [idx, value] : c) {
-    EXPECT_LT(idx, 64u);
-    total += value;
+TEST(HashingVectorizerTest, MaskAndModuloReductionsAgree) {
+  // 1024 takes the power-of-two mask path, 1000 the modulo path; both
+  // must land each token exactly where a plain modulo of its salted hash
+  // puts it.
+  for (uint32_t dim : {1024u, 1000u}) {
+    HashingVectorizer v(dim, /*salt=*/42);
+    EXPECT_EQ(v.dimension(), dim);
+    for (uint32_t id : {0u, 1u, 77u, 4096u, 123456789u, 0xFFFFFFFFu}) {
+      EXPECT_EQ(IndexOf(v, id),
+                static_cast<uint32_t>(HashCombine(id, 42) % dim))
+          << "dim=" << dim << " id=" << id;
+    }
   }
-  EXPECT_DOUBLE_EQ(total, 6.0);
-  EXPECT_TRUE(IsSortedUnique(c));
 }
 
-TEST(HashingVectorizerTest, SignedHashCanCancel) {
-  // With sign hashing, values are +/-1 per occurrence; magnitudes bounded.
-  HashingVectorizer v(8, /*signed_hash=*/true);
-  TermCounts c = v.Transform({"a", "b", "c", "d", "e", "f", "g", "h"});
-  double sum_abs = 0.0;
-  for (const auto& [idx, value] : c) sum_abs += std::abs(value);
-  EXPECT_LE(sum_abs, 8.0);
-  EXPECT_GT(sum_abs, 0.0);
+TEST(HashingVectorizerTest, AppendsAfterExistingEntries) {
+  HashingVectorizer v(64);
+  TermCounts out = {{63, 9.0}};
+  v.CountHashes(
+      2, [](size_t i) -> uint64_t { return i; }, &out);
+  ASSERT_GE(out.size(), 2u);
+  EXPECT_EQ(out[0], (std::pair<uint32_t, double>{63, 9.0}));
+  EXPECT_TRUE(IsSortedUnique(TermCounts(out.begin() + 1, out.end())));
 }
 
 TEST(HashingVectorizerTest, EmptyInput) {
   HashingVectorizer v(32);
-  EXPECT_TRUE(v.Transform({}).empty());
-  EXPECT_TRUE(v.TransformIds({}).empty());
-}
-
-// --- Zero-allocation view path ------------------------------------------
-
-std::vector<std::string_view> AsViews(const std::vector<std::string>& toks) {
-  return std::vector<std::string_view>(toks.begin(), toks.end());
-}
-
-TEST(HashingVectorizerTest, TransformViewsBitIdenticalToTransform) {
-  const std::vector<std::string> tokens = {"the", "quick", "brown", "fox",
-                                           "the", "lazy",  "dog",   "the"};
-  // Power-of-two dimensions take the mask path, the others the modulo
-  // path; both must agree exactly with Transform (which always divides).
-  for (uint32_t dim : {8u, 16u, 1024u, 7u, 100u, 1000u}) {
-    for (bool sign : {false, true}) {
-      HashingVectorizer v(dim, sign, /*salt=*/42);
-      TermCounts scratch;
-      v.TransformViews(AsViews(tokens), &scratch);
-      EXPECT_EQ(scratch, v.Transform(tokens)) << "dim=" << dim
-                                              << " signed=" << sign;
-    }
-  }
-}
-
-TEST(HashingVectorizerTest, TransformViewsClearsScratch) {
-  HashingVectorizer v(32);
-  TermCounts scratch;
-  v.TransformViews(AsViews({"a", "b", "c"}), &scratch);
-  v.TransformViews(AsViews({"z"}), &scratch);
-  EXPECT_EQ(scratch, v.Transform({"z"}));
-}
-
-TEST(HashingVectorizerTest, IndexOfAgreesAcrossReductionPaths) {
-  // IndexOf must agree with where Transform actually lands a token, for
-  // both the power-of-two mask and the arbitrary-dimension modulo.
-  for (uint32_t dim : {64u, 97u}) {
-    HashingVectorizer v(dim);
-    for (const char* tok : {"alpha", "beta", "gamma", "delta"}) {
-      TermCounts c = v.Transform({tok});
-      ASSERT_EQ(c.size(), 1u);
-      EXPECT_EQ(v.IndexOf(tok), c[0].first) << "dim=" << dim;
-    }
-  }
+  EXPECT_TRUE(CountIds(v, {}).empty());
 }
 
 TEST(TermCountsTest, CountTokenIdsAggregates) {

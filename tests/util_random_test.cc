@@ -115,14 +115,6 @@ TEST(RngTest, LogNormalMeanMatches) {
   EXPECT_NEAR(sum / n, 100.0, 2.0);
 }
 
-TEST(RngTest, ExponentialMeanMatches) {
-  Rng rng(23);
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.NextExponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(RngTest, GammaMeanMatches) {
   Rng rng(29);
   const int n = 100000;

@@ -69,21 +69,6 @@ TEST(WindowedMeanTest, EmptyMeanIsZero) {
   EXPECT_EQ(m.mean(), 0.0);
 }
 
-TEST(DiscountedMeanTest, GammaOneIsPlainMean) {
-  DiscountedMean m(1.0);
-  for (double x : {1.0, 2.0, 3.0}) m.Add(x);
-  EXPECT_DOUBLE_EQ(m.mean(), 2.0);
-}
-
-TEST(DiscountedMeanTest, RecentValuesDominate) {
-  DiscountedMean m(0.5);
-  m.Add(0.0);
-  m.Add(0.0);
-  m.Add(1.0);
-  // weights: 0.25, 0.5, 1 -> mean = 1 / 1.75
-  EXPECT_NEAR(m.mean(), 1.0 / 1.75, 1e-12);
-}
-
 TEST(DescriptiveTest, MeanVarianceMedian) {
   std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(Mean(xs), 2.5);
@@ -101,41 +86,6 @@ TEST(DescriptiveTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.5), 30.0);
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.25), 20.0);
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.125), 15.0);
-}
-
-TEST(BootstrapTest, CiCoversTrueMean) {
-  Rng rng(1);
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) xs.push_back(rng.NextGaussian(10.0, 2.0));
-  BootstrapCi ci = BootstrapMeanCi(xs, 0.95, 500, &rng);
-  EXPECT_LT(ci.lo, ci.point);
-  EXPECT_GT(ci.hi, ci.point);
-  EXPECT_LT(ci.lo, 10.3);
-  EXPECT_GT(ci.hi, 9.7);
-}
-
-TEST(BootstrapTest, DegenerateSample) {
-  Rng rng(2);
-  BootstrapCi ci = BootstrapMeanCi({5.0}, 0.95, 100, &rng);
-  EXPECT_DOUBLE_EQ(ci.lo, 5.0);
-  EXPECT_DOUBLE_EQ(ci.hi, 5.0);
-}
-
-TEST(WelchTest, DetectsSeparation) {
-  Rng rng(3);
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 100; ++i) {
-    a.push_back(rng.NextGaussian(5.0, 1.0));
-    b.push_back(rng.NextGaussian(3.0, 1.0));
-  }
-  EXPECT_GT(WelchT(a, b), 5.0);
-  EXPECT_LT(WelchT(b, a), -5.0);
-}
-
-TEST(WelchTest, DegenerateInputsReturnZero) {
-  EXPECT_EQ(WelchT({1.0}, {2.0, 3.0}), 0.0);
-  EXPECT_EQ(WelchT({1.0, 1.0}, {1.0, 1.0}), 0.0);  // zero variance
 }
 
 }  // namespace

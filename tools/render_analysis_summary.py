@@ -37,7 +37,7 @@ THREAD_SAFETY_RE = re.compile(
 ZOMBIE_LINT_RE = re.compile(
     r"^(?P<loc>[^:\s][^:]*:\d+): \[(?P<rule>[a-z0-9-]+)\] (?P<msg>.*)$")
 
-# clang-tidy finding:  src/ml/knn.cc:10:5: warning: msg [check-name]
+# clang-tidy finding:  src/ml/naive_bayes.cc:10:5: warning: msg [check-name]
 CLANG_TIDY_RE = re.compile(
     r"^(?P<loc>[^:\s][^:]*:\d+:\d+): (?:warning|error): "
     r"(?P<msg>.*?)\s*\[(?P<check>[a-z0-9.,-]+)\]$")

@@ -29,9 +29,9 @@
 //                   src/util/status.h -> ZOMBIE_UTIL_STATUS_H_.
 //   no-hot-path-string-copy
 //                   The feature-extraction and engine layers are the hot
-//                   path; token streams there flow as string_view spans
-//                   over a reusable TokenBuffer (src/text/tokenizer.h), not
-//                   as owning string collections that allocate per token.
+//                   path; token streams there are Document::tokens ids
+//                   (src/data/document.h), not owning string collections
+//                   that allocate per token.
 //                   `std::vector<std::string>` is banned in src/featureeng/
 //                   and src/core/ (token match: whitespace and line breaks
 //                   are irrelevant).
@@ -652,8 +652,8 @@ class FileAnalyzer {
           TokIs(i + 5, "::") && TokIs(i + 6, "string") && TokIs(i + 7, ">")) {
         Report(t.line, "no-hot-path-string-copy",
                "std::vector<std::string> allocates per token on the hot "
-               "path; use TokenBuffer + string_view spans "
-               "(src/text/tokenizer.h)");
+               "path; token streams are Document::tokens ids "
+               "(src/data/document.h)");
       }
       if (IsRawMmapBannedFile(f_.rel) && kMmapTokens.count(id) != 0 &&
           TokIs(i + 1, "(")) {
