@@ -45,7 +45,6 @@ RunResult RunFixedSampleBaseline(const ZombieEngine& engine,
 EngineOptions FullScanOptions(EngineOptions base) {
   base.stop.plateau_enabled = false;
   base.stop.decline_enabled = false;
-  base.stop.target_quality = -1.0;
   return base;
 }
 

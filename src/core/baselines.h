@@ -32,7 +32,7 @@ RunResult RunFixedSampleBaseline(const ZombieEngine& engine,
                                  size_t sample_size);
 
 /// Convenience: engine options whose stop rule only triggers on corpus
-/// exhaustion or `max_items` (plateau and target disabled) — the
+/// exhaustion or `max_items` (plateau and decline disabled) — the
 /// "full scan" configuration of the baselines.
 EngineOptions FullScanOptions(EngineOptions base);
 

@@ -17,8 +17,6 @@ class ObsContext;
 struct StopRule {
   /// Hard budget on processed items.
   size_t max_items = std::numeric_limits<size_t>::max();
-  /// Stop when the quality estimate first reaches this value (< 0: off).
-  double target_quality = -1.0;
   /// Stop when the quality estimate plateaus (the paper's rule; the
   /// window and floor are fixed in core/engine.cc).
   bool plateau_enabled = true;

@@ -5,7 +5,6 @@
 namespace zombie {
 
 void ConvergenceDetector::Add(double quality) {
-  ++total_;
   recent_.push_back(quality);
   if (recent_.size() > kWindow) recent_.pop_front();
 }
@@ -15,11 +14,6 @@ bool ConvergenceDetector::converged() const {
   double lo = *std::min_element(recent_.begin(), recent_.end());
   double hi = *std::max_element(recent_.begin(), recent_.end());
   return hi - lo <= kEpsilon;
-}
-
-void ConvergenceDetector::Reset() {
-  recent_.clear();
-  total_ = 0;
 }
 
 }  // namespace zombie

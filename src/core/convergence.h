@@ -25,13 +25,8 @@ class ConvergenceDetector {
   /// Never true before kWindow observations.
   bool converged() const;
 
-  size_t num_observations() const { return total_; }
-
-  void Reset();
-
  private:
   std::deque<double> recent_;
-  size_t total_ = 0;
 };
 
 }  // namespace zombie

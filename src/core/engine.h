@@ -14,6 +14,7 @@
 #include "featureeng/pipeline.h"
 #include "index/grouper.h"
 #include "ml/learner.h"
+#include "util/random.h"
 
 namespace zombie {
 
@@ -29,7 +30,7 @@ namespace zombie {
 ///  5. scores the item's usefulness with the reward function and feeds the
 ///     bandit,
 ///  6. every `eval_every` items, measures quality on the fixed holdout and
-///     applies the stop rules (plateau / target / budget).
+///     applies the stop rules (plateau / decline / budget).
 ///
 /// With RunSpec::stream set, the run is *streaming*: only the offline base
 /// prefix exists up front, and at each holdout-eval boundary the engine
@@ -77,6 +78,14 @@ class ZombieEngine {
 /// A one-group GroupingResult covering docs [0, corpus_size) in order;
 /// building block of the scan baselines.
 GroupingResult MakeSingleGroupGrouping(size_t corpus_size);
+
+/// The holdout each run draws from the base prefix [0, base_size): a
+/// shuffled walk taking a 25% positive share of `holdout_size` (at most
+/// half the prefix's positives, so training keeps the rare class) and
+/// negatives for the rest; skipped ids fill in when a class runs short.
+std::vector<uint32_t> SampleStratifiedHoldout(const Corpus& corpus,
+                                              size_t base_size,
+                                              size_t holdout_size, Rng rng);
 
 }  // namespace zombie
 

@@ -11,8 +11,6 @@ const char* StopReasonName(StopReason reason) {
       return "plateau";
     case StopReason::kDecline:
       return "decline";
-    case StopReason::kTarget:
-      return "target";
     case StopReason::kBudget:
       return "budget";
     case StopReason::kExhausted:

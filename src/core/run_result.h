@@ -14,7 +14,6 @@ namespace zombie {
 enum class StopReason {
   kPlateau,    // quality estimate converged (early stop)
   kDecline,    // quality clearly past its peak (early stop)
-  kTarget,     // target quality reached
   kBudget,     // max_items exhausted
   kExhausted,  // corpus fully processed
 };

@@ -42,7 +42,7 @@ void WindowedMean::Add(double x) {
   values_.push_back(x);
   sum_ += x;
   ++total_count_;
-  if (window_ > 0 && values_.size() > window_) {
+  if (values_.size() > window_) {
     sum_ -= values_.front();
     values_.pop_front();
   }

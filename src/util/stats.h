@@ -41,8 +41,8 @@ class RunningStats {
 /// items are consumed).
 class WindowedMean {
  public:
-  /// window == 0 means unbounded (plain mean).
-  explicit WindowedMean(size_t window = 0) : window_(window) {}
+  /// `window` must be positive.
+  explicit WindowedMean(size_t window) : window_(window) {}
 
   void Add(double x);
   double mean() const;

@@ -25,10 +25,10 @@ struct Fixture {
 TEST(BaselinesTest, FullScanOptionsDisableEarlyStops) {
   EngineOptions o;
   o.stop.plateau_enabled = true;
-  o.stop.target_quality = 0.5;
+  o.stop.decline_enabled = true;
   EngineOptions full = FullScanOptions(o);
   EXPECT_FALSE(full.stop.plateau_enabled);
-  EXPECT_LT(full.stop.target_quality, 0.0);
+  EXPECT_FALSE(full.stop.decline_enabled);
 }
 
 TEST(BaselinesTest, SequentialScanIsExhaustiveAndNamed) {

@@ -46,20 +46,5 @@ TEST(ConvergenceTest, OldValuesAgeOut) {
   EXPECT_TRUE(d.converged());
 }
 
-TEST(ConvergenceTest, ResetClearsHistory) {
-  ConvergenceDetector d;
-  for (size_t i = 0; i < kWindow; ++i) d.Add(0.5);
-  EXPECT_TRUE(d.converged());
-  d.Reset();
-  EXPECT_FALSE(d.converged());
-  EXPECT_EQ(d.num_observations(), 0u);
-}
-
-TEST(ConvergenceTest, CountsObservations) {
-  ConvergenceDetector d;
-  for (int i = 0; i < 7; ++i) d.Add(0.1);
-  EXPECT_EQ(d.num_observations(), 7u);
-}
-
 }  // namespace
 }  // namespace zombie

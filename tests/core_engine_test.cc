@@ -99,21 +99,6 @@ TEST(EngineTest, ExhaustionProcessesEverythingExceptHoldout) {
   EXPECT_EQ(r.items_processed, 500u - opts.holdout_size);
 }
 
-TEST(EngineTest, TargetQualityStopsEarly) {
-  Fixture f;
-  EngineOptions opts = f.SmallOptions();
-  opts.stop.target_quality = 0.05;  // trivially reachable
-  opts.stop.plateau_enabled = false;
-  ZombieEngine engine(&f.task.corpus, &f.task.pipeline, opts);
-  EpsilonGreedyPolicy policy;
-  NaiveBayesLearner nb;
-  LabelReward reward;
-  RunResult r = engine.Run(RunSpec(f.Grouping(), policy, nb, reward));
-  EXPECT_EQ(r.stop_reason, StopReason::kTarget);
-  EXPECT_GE(r.final_quality, 0.0);
-  EXPECT_LT(r.items_processed, 1900u);
-}
-
 TEST(EngineTest, PlateauStopsBeforeExhaustion) {
   Fixture f(4000);
   ZombieEngine engine(&f.task.corpus, &f.task.pipeline, f.SmallOptions());

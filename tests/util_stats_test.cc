@@ -46,8 +46,8 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(WindowedMeanTest, UnboundedActsAsPlainMean) {
-  WindowedMean m(0);
+TEST(WindowedMeanTest, BelowWindowActsAsPlainMean) {
+  WindowedMean m(50);
   for (int i = 1; i <= 10; ++i) m.Add(i);
   EXPECT_DOUBLE_EQ(m.mean(), 5.5);
   EXPECT_EQ(m.count(), 10u);

@@ -15,8 +15,10 @@ ordered flag set, so the bad input travels as deep as the CLI lets it: a
 malformed or boundary value of one flag (every command, every flag, every
 listed value once), an unknown key, a key another command reads, or a
 damaged corpus file. Each flag of each command also appears once in a
-case that is valid throughout. Then come random mixes of several flags:
-about half of them all valid, the rest with bad values or keys mixed in.
+case that is valid throughout. Malformed command lines follow: a
+positional argument among valid flags, an unknown subcommand, and none at
+all. Then come random mixes of several flags: about half of them all
+valid, the rest with bad values or keys mixed in.
 
 Every invocation stays small: a command that generates its corpus gets
 --docs <= 300 (or a --docs value the CLI must reject up front), and a
@@ -156,6 +158,10 @@ COMMAND_FLAGS = {
 
 BOGUS_KEYS = ["bogus", "doc", "Docs", "", "-", "prefetch-threads",
               "holdout_positive_fraction", "epsilon", "metric", "signed_hash"]
+# Arguments that are not --key[=value] flags, and names that are not
+# subcommands.
+POSITIONALS = ["foo", "-", "-x", "docs=10", "", "run", "5"]
+BOGUS_COMMANDS = ["bogus", "", "RUN", "help", "--docs=10", "-h", "simd"]
 
 
 def valid_flags(rng, table, cmd, count):
@@ -237,6 +243,27 @@ def all_valid_cases(rng, table):
                 if valid:
                     cases.append((args, valid))
                     break
+    return cases
+
+
+def command_line_cases(rng, table):
+    """Malformed command lines: each command with a positional argument
+    among valid flags, an unknown subcommand with valid flags, and no
+    subcommand at all."""
+    cases = [([], False)]
+    for cmd in COMMAND_FLAGS:
+        for positional in POSITIONALS:
+            args, _ = finish(rng, table, cmd,
+                             valid_flags(rng, table, cmd, rng.randint(0, 5)),
+                             True)
+            args.insert(rng.randint(1, len(args)), positional)
+            cases.append((args, False))
+    for name in BOGUS_COMMANDS:
+        cmd = rng.choice(list(COMMAND_FLAGS))
+        args, _ = finish(rng, table, cmd,
+                         valid_flags(rng, table, cmd, rng.randint(0, 5)),
+                         True)
+        cases.append(([name] + args[1:], False))
     return cases
 
 
@@ -326,6 +353,7 @@ def main():
         table = flag_table(tmp, good, bad_corpora)
         cases = single_mutation_cases(rng, table)
         cases += all_valid_cases(rng, table)
+        cases += command_line_cases(rng, table)
         cases += [random_case(rng, table) for _ in range(RANDOM_CASES)]
         rng.shuffle(cases)
 

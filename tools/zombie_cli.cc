@@ -21,9 +21,10 @@
 //                       [--decisions-out=...]
 //   zombie_cli simd-level [--print=active|detected]
 //
-// Flags are --key=value; unknown flags and unknown values of the enum
-// flags (--prune, --stream-order, ...) exit 1 with a message before any
-// corpus is loaded or generated. Numeric flags must parse whole and lie in
+// Flags are --key=value; unknown flags, unknown values of the enum
+// flags (--prune, --stream-order, ...), positional arguments and a missing
+// or unknown subcommand exit 1 with a message before any corpus is loaded
+// or generated. Numeric flags must parse whole and lie in
 // their range (kNumericFlags), checked before anything is built. When
 // --corpus is given it is loaded from disk, otherwise --task/--docs/--seed
 // generate one.
@@ -70,6 +71,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bandit/policy.h"
@@ -828,35 +830,41 @@ int CmdSimdLevel(const Flags& flags) {
   return 0;
 }
 
-int Usage() {
+/// Reports a malformed command line and the usage; exit code 1, like
+/// every other bad input.
+int Usage(const std::string& problem) {
   std::fprintf(stderr,
+               "%s\n"
                "usage: zombie_cli <generate|inspect|run|session|simd-level> "
                "[--key=value ...]\n"
-               "see the header comment of tools/zombie_cli.cc for flags\n");
-  return 2;
+               "see the header comment of tools/zombie_cli.cc for flags\n",
+               problem.c_str());
+  return 1;
 }
 
 int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  if (argc < 2) return Usage();
+  if (argc < 2) return Usage("missing subcommand");
+  using Command = int (*)(const Flags&);
+  static constexpr std::pair<const char*, Command> kCommands[] = {
+      {"generate", CmdGenerate}, {"inspect", CmdInspect},
+      {"run", CmdRun},           {"session", CmdSession},
+      {"simd-level", CmdSimdLevel}};
+  const std::string cmd = argv[1];
+  Command command = nullptr;
+  for (const auto& [name, fn] : kCommands) {
+    if (cmd == name) command = fn;
+  }
+  if (command == nullptr) return Usage("unknown subcommand '" + cmd + "'");
   Flags flags;
   Status st = flags.Parse(argc, argv, 2);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
+  if (!st.ok()) return Usage(st.ToString());
   st = flags.CheckNumeric();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  std::string cmd = argv[1];
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "inspect") return CmdInspect(flags);
-  if (cmd == "run") return CmdRun(flags);
-  if (cmd == "session") return CmdSession(flags);
-  if (cmd == "simd-level") return CmdSimdLevel(flags);
-  return Usage();
+  return command(flags);
 }
 
 }  // namespace
