@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -267,8 +269,9 @@ constexpr size_t kSimdBenchNnz = 128;  // matches the wrapper benches' gates
 // 12k signature-width rows against k = 32 centroids. "scalar" is the loop
 // the index ran before the lane kernel (one SquaredL2 per row-centroid
 // pair over row-major rows); "<isa>" is AssignToNearest, the pass RunKMeans
-// runs, through that level's squared_l2_to_lanes entry. Both produce
-// identical assignments.
+// runs, through that level's squared_l2_block entry. All produce identical
+// assignments. "ratio.avx512.kmeans_block" is the avx2 wall over the
+// avx512 wall: eight interleaved centroid chains against two.
 constexpr size_t kAssignRows = 12000;
 constexpr size_t kAssignDim = 128;
 constexpr size_t kAssignK = 32;
@@ -322,18 +325,20 @@ void BM_KMeansAssignScalar(benchmark::State& state) {
                           static_cast<int64_t>(kAssignRows));
 }
 
-void BM_KMeansAssignLanes(benchmark::State& state,
+void BM_KMeansAssignBlock(benchmark::State& state,
                           const simd::SparseKernels* k) {
   const AssignFixture& f = KMeansAssignFixture();
   std::vector<uint32_t> assignments(kAssignRows, 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AssignToNearest(k->squared_l2_to_lanes, f.rows,
+    benchmark::DoNotOptimize(AssignToNearest(k->squared_l2_block, f.rows,
                                              f.centroids.data(), kAssignK,
                                              &assignments));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kAssignRows));
 }
+
+void BM_StoreCrc32Fold(benchmark::State& state, simd::Crc32FoldFn fold);
 
 void RegisterPerIsaKernelBenches() {
   for (simd::SimdLevel level : simd::AvailableLevels()) {
@@ -361,15 +366,20 @@ void RegisterPerIsaKernelBenches() {
           ->Unit(benchmark::kMillisecond);
     } else {
       benchmark::RegisterBenchmark(("BM_KMeansAssign/" + ln).c_str(),
-                                   BM_KMeansAssignLanes, k)
+                                   BM_KMeansAssignBlock, k)
           ->Unit(benchmark::kMillisecond);
+    }
+    if (level == simd::SimdLevel::kAvx2) {
+      // The carry-less fold has one entry, shared by the AVX-512 table.
+      benchmark::RegisterBenchmark("BM_StoreCrc32Clmul", BM_StoreCrc32Fold,
+                                   k->crc32_fold);
     }
   }
 }
 
-// --- Extraction path: the radix counting routine and the slicing-by-8
-// store CRC against the code they replaced, kept bench-local and noinline
-// for the same reason as the reference kernels above.
+// --- Extraction path: the radix counting routine and the store CRC against
+// the code they replaced, kept bench-local and noinline for the same reason
+// as the reference kernels above.
 
 // A pool of hashed documents: 480 Zipf-distributed token ids each, hashed
 // into an 8192-dimension space the way HashingVectorizer::CountHashes
@@ -484,6 +494,24 @@ void BM_StoreCrc32(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreCrc32);
 
+// Crc32 with an explicit fold body: nullptr is slicing-by-8 throughout
+// ("ratio.store_crc32" against the byte loop); the carry-less fold is
+// registered per level ("ratio.store_crc32_clmul" against slicing-by-8).
+void BM_StoreCrc32Fold(benchmark::State& state, simd::Crc32FoldFn fold) {
+  const std::vector<uint8_t> record = RecordBytes();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Crc32WithFold(fold, record.data(), record.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(record.size()));
+}
+
+void BM_StoreCrc32Slicing8(benchmark::State& state) {
+  BM_StoreCrc32Fold(state, nullptr);
+}
+BENCHMARK(BM_StoreCrc32Slicing8);
+
 void BM_NaiveBayesUpdate(benchmark::State& state) {
   Rng rng(4);
   NaiveBayesLearner nb;
@@ -509,14 +537,86 @@ void BM_NaiveBayesScore(benchmark::State& state) {
 }
 BENCHMARK(BM_NaiveBayesScore);
 
+// The naive Bayes batch scoring the dataset's dense slots replaced: a
+// call-local weight table as long as the model's count vectors, filled
+// lazily on each feature's first use. Trains the same counts as
+// NaiveBayesLearner::Update and scores bit-identically (checked at set-up).
+class RefNaiveBayes {
+ public:
+  void Update(SparseVectorView x, int32_t y) {
+    class_count_[y] += 1.0;
+    dimension_ = std::max(dimension_, x.dimension());
+    auto& counts = token_count_[y];
+    if (counts.size() < x.dimension()) counts.resize(x.dimension(), 0.0);
+    for (size_t i = 0; i < x.num_nonzero(); ++i) {
+      const double v = x.value_at(i);
+      if (v <= 0.0) continue;
+      counts[x.index_at(i)] += v;
+      token_total_[y] += v;
+    }
+  }
+
+  __attribute__((noinline)) void ScoreBatch(const Dataset& data,
+                                            double* out) const {
+    constexpr double kAlpha = NaiveBayesLearner::kAlpha;
+    const double prior1 = (class_count_[1] + 1.0) /
+                          (class_count_[0] + class_count_[1] + 2.0);
+    const double log_prior = std::log(prior1 / (1.0 - prior1));
+    const double v_dim = static_cast<double>(std::max<size_t>(dimension_, 1));
+    const double denom0 = token_total_[0] + kAlpha * v_dim;
+    const double denom1 = token_total_[1] + kAlpha * v_dim;
+    auto weight = [&](size_t f) {
+      const double c0 = f < token_count_[0].size() ? token_count_[0][f] : 0.0;
+      const double c1 = f < token_count_[1].size() ? token_count_[1][f] : 0.0;
+      return std::log((c1 + kAlpha) / denom1) -
+             std::log((c0 + kAlpha) / denom0);
+    };
+    const size_t table_size =
+        std::max(token_count_[0].size(), token_count_[1].size());
+    const double unseen_weight = weight(table_size);
+    std::vector<double> w(table_size);
+    std::vector<uint8_t> filled(table_size, 0);
+    for (size_t r = 0; r < data.size(); ++r) {
+      const SparseVectorView x = data.example(r).x;
+      double log_odds = log_prior;
+      for (size_t i = 0; i < x.num_nonzero(); ++i) {
+        const double v = x.value_at(i);
+        if (v <= 0.0) continue;
+        const uint32_t idx = x.index_at(i);
+        if (idx >= table_size) {
+          log_odds += v * unseen_weight;
+          continue;
+        }
+        if (filled[idx] == 0) {
+          w[idx] = weight(idx);
+          filled[idx] = 1;
+        }
+        log_odds += v * w[idx];
+      }
+      out[r] = log_odds;
+    }
+  }
+
+ private:
+  double class_count_[2] = {0.0, 0.0};
+  double token_total_[2] = {0.0, 0.0};
+  std::vector<double> token_count_[2];
+  size_t dimension_ = 0;
+};
+
 // One holdout evaluation's scoring pass: naive Bayes over a 400-row WebCat
 // holdout (trained on 300 other documents), per row through the Learner
-// default vs NaiveBayesLearner::ScoreBatch, which computes each distinct
-// feature's log-odds weight once per batch. Same scores bit for bit
-// (ml_learners_test); "ratio.nb_score_all" is per-row wall / batch wall.
-void BM_NaiveBayesScoreAll(benchmark::State& state, bool batched) {
+// default, through the lazy weight table above, and through
+// NaiveBayesLearner::ScoreBatch, which computes one weight per dataset slot
+// in a dense loop. Same scores bit for bit (ml_learners_test); the
+// "ratio.nb_score_all" and "ratio.nb_score_slots" gates are the per-row
+// and lazy-table walls over the batch wall.
+enum class NbScoring { kPerRow, kLazyTable, kBatch };
+
+void BM_NaiveBayesScoreAll(benchmark::State& state, NbScoring scoring) {
   Task task = MakeTask(TaskKind::kWebCat, 700, 1);
   NaiveBayesLearner nb;
+  RefNaiveBayes ref;
   Dataset holdout;
   for (size_t i = 0; i < task.corpus.size(); ++i) {
     const Document& doc = task.corpus.doc(i);
@@ -524,16 +624,29 @@ void BM_NaiveBayesScoreAll(benchmark::State& state, bool batched) {
     const int32_t y = doc.label == 1 ? 1 : 0;
     if (i < 300) {
       nb.Update(x, y);
+      ref.Update(x, y);
     } else {
       holdout.Add(x, y);
     }
   }
   std::vector<double> scores(holdout.size());
+  std::vector<double> ref_scores(holdout.size());
+  nb.ScoreBatch(holdout, scores.data());
+  ref.ScoreBatch(holdout, ref_scores.data());
+  ZCHECK(std::memcmp(scores.data(), ref_scores.data(),
+                     scores.size() * sizeof(double)) == 0)
+      << "lazy-table reference diverged from NaiveBayesLearner::ScoreBatch";
   for (auto _ : state) {
-    if (batched) {
-      nb.ScoreBatch(holdout, scores.data());
-    } else {
-      nb.Learner::ScoreBatch(holdout, scores.data());
+    switch (scoring) {
+      case NbScoring::kPerRow:
+        nb.Learner::ScoreBatch(holdout, scores.data());
+        break;
+      case NbScoring::kLazyTable:
+        ref.ScoreBatch(holdout, scores.data());
+        break;
+      case NbScoring::kBatch:
+        nb.ScoreBatch(holdout, scores.data());
+        break;
     }
     benchmark::DoNotOptimize(scores.data());
     benchmark::ClobberMemory();
@@ -541,8 +654,9 @@ void BM_NaiveBayesScoreAll(benchmark::State& state, bool batched) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(holdout.size()));
 }
-BENCHMARK_CAPTURE(BM_NaiveBayesScoreAll, per_row, false);
-BENCHMARK_CAPTURE(BM_NaiveBayesScoreAll, batch, true);
+BENCHMARK_CAPTURE(BM_NaiveBayesScoreAll, per_row, NbScoring::kPerRow);
+BENCHMARK_CAPTURE(BM_NaiveBayesScoreAll, lazy_table, NbScoring::kLazyTable);
+BENCHMARK_CAPTURE(BM_NaiveBayesScoreAll, batch, NbScoring::kBatch);
 
 void BM_LogisticRegressionUpdate(benchmark::State& state) {
   Rng rng(6);
@@ -723,7 +837,11 @@ void ExportKernelRatios(const JsonExportReporter& console,
        {"ratio.nb_score_all",
         {"BM_NaiveBayesScoreAll/per_row", "BM_NaiveBayesScoreAll/batch"}},
        {"ratio.term_counting", {"BM_RefTermCounting", "BM_TermCounting"}},
-       {"ratio.store_crc32", {"BM_RefStoreCrc32", "BM_StoreCrc32"}}};
+       {"ratio.nb_score_slots",
+        {"BM_NaiveBayesScoreAll/lazy_table", "BM_NaiveBayesScoreAll/batch"}},
+       {"ratio.store_crc32", {"BM_RefStoreCrc32", "BM_StoreCrc32Slicing8"}},
+       {"ratio.store_crc32_clmul",
+        {"BM_StoreCrc32Slicing8", "BM_StoreCrc32Clmul"}}};
   for (const auto& [metric, pair] : kPairs) {
     const double old_wall = console.WallOf(pair.first);
     const double new_wall = console.WallOf(pair.second);
@@ -771,6 +889,11 @@ void ExportPerIsaKernelRatios(const JsonExportReporter& console,
       reporter->AddMetric("ratio." + ln + ".kmeans_assign",
                           assign_scalar / assign_isa);
     }
+  }
+  const double block_avx2 = console.WallOf("BM_KMeansAssign/avx2");
+  const double block_avx512 = console.WallOf("BM_KMeansAssign/avx512");
+  if (block_avx2 > 0.0 && block_avx512 > 0.0) {
+    reporter->AddMetric("ratio.avx512.kmeans_block", block_avx2 / block_avx512);
   }
 }
 

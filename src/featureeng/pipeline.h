@@ -51,7 +51,6 @@ class FeaturePipeline {
   /// L2-normalize the assembled vector (default on: keeps learners'
   /// step-size behavior consistent across extractor mixes).
   void set_l2_normalize(bool on) { l2_normalize_ = on; }
-  bool l2_normalize() const { return l2_normalize_; }
 
   /// "bow4096 + keywords12 + domain" style description.
   std::string Description() const;

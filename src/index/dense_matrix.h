@@ -9,7 +9,7 @@
 
 namespace zombie {
 
-/// Dense rows of one width, laid out for the SquaredL2ToLanes kernel
+/// Dense rows of one width, laid out for the SquaredL2Block kernel
 /// (ml/simd/sparse_kernels.h). Rows are grouped in tiles of kTileRows (8),
 /// and a tile stores its rows lane-interleaved: component d of the tile's
 /// row l is tile[d * 8 + l]. Every tile is therefore a ready `lanes`

@@ -6,9 +6,9 @@
 #include "util/logging.h"
 #include "util/random.h"
 
-// Every dense distance below goes through the dispatched SquaredL2ToLanes
+// Every dense distance below goes through the dispatched SquaredL2Block
 // kernel, whose lanes are the tiles of a DenseMatrix. In the Lloyd and
-// seeding passes the point is a centroid and the lanes are data rows, so
+// seeding passes the points are centroids and the lanes are data rows, so
 // the kernel computes (centroid - row)^2 where SquaredL2(row, centroid)
 // computes (row - centroid)^2. For non-NaN inputs these are the same bits:
 // IEEE subtraction is exact under negation (x - x is +0 either way) and
@@ -39,24 +39,27 @@ double SquaredL2(const std::vector<double>& a, const std::vector<double>& b) {
   return SquaredL2(a.data(), b.data(), a.size());
 }
 
-AssignStep AssignToNearest(simd::SquaredL2ToLanesFn to_lanes,
+AssignStep AssignToNearest(simd::SquaredL2BlockFn block,
                            const DenseMatrix& rows, const double* centroids,
                            size_t k, std::vector<uint32_t>* assignments) {
   const size_t n = rows.num_rows();
   const size_t dim = rows.dim();
   AssignStep step;
-  alignas(64) double dist[kLanes];
+  alignas(64) double dist[kLanes * kLanes];
   double best[kLanes];
   uint32_t best_c[kLanes];
   for (size_t t = 0; t < rows.num_tiles(); ++t) {
     std::fill(best, best + kLanes, std::numeric_limits<double>::max());
     std::fill(best_c, best_c + kLanes, 0u);
-    for (size_t c = 0; c < k; ++c) {
-      to_lanes(centroids + c * dim, rows.tile(t), dim, dist);
-      for (size_t l = 0; l < kLanes; ++l) {
-        if (dist[l] < best[l]) {
-          best[l] = dist[l];
-          best_c[l] = static_cast<uint32_t>(c);
+    for (size_t c0 = 0; c0 < k; c0 += kLanes) {
+      const size_t points = std::min(kLanes, k - c0);
+      block(centroids + c0 * dim, points, rows.tile(t), dim, dist);
+      for (size_t p = 0; p < points; ++p) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          if (dist[p * kLanes + l] < best[l]) {
+            best[l] = dist[p * kLanes + l];
+            best_c[l] = static_cast<uint32_t>(c0 + p);
+          }
         }
       }
     }
@@ -75,13 +78,12 @@ AssignStep AssignToNearest(simd::SquaredL2ToLanesFn to_lanes,
 
 size_t NearestRow(const DenseMatrix& centroids, const double* point,
                   double* best_dist) {
-  const simd::SquaredL2ToLanesFn to_lanes =
-      simd::ActiveKernels().squared_l2_to_lanes;
+  const simd::SquaredL2BlockFn block = simd::ActiveKernels().squared_l2_block;
   double best = std::numeric_limits<double>::max();
   size_t best_c = 0;
   alignas(64) double dist[kLanes];
   for (size_t t = 0; t < centroids.num_tiles(); ++t) {
-    to_lanes(point, centroids.tile(t), centroids.dim(), dist);
+    block(point, 1, centroids.tile(t), centroids.dim(), dist);
     const size_t lanes =
         std::min(kLanes, centroids.num_rows() - t * kLanes);
     for (size_t l = 0; l < lanes; ++l) {
@@ -99,7 +101,7 @@ namespace {
 
 // k-means++ seeding: first centroid uniform, then proportional to squared
 // distance from the nearest chosen centroid. Returns k contiguous rows.
-std::vector<double> SeedPlusPlus(simd::SquaredL2ToLanesFn to_lanes,
+std::vector<double> SeedPlusPlus(simd::SquaredL2BlockFn block,
                                  const DenseMatrix& rows, size_t k,
                                  Rng* rng) {
   const size_t n = rows.num_rows();
@@ -111,7 +113,7 @@ std::vector<double> SeedPlusPlus(simd::SquaredL2ToLanesFn to_lanes,
   for (size_t chosen = 1; chosen < k; ++chosen) {
     const double* latest = centroids.data() + (chosen - 1) * dim;
     for (size_t t = 0; t < rows.num_tiles(); ++t) {
-      to_lanes(latest, rows.tile(t), dim, dist);
+      block(latest, 1, rows.tile(t), dim, dist);
       const size_t lanes = std::min(kLanes, n - t * kLanes);
       for (size_t l = 0; l < lanes; ++l) {
         double& m = min_dist[t * kLanes + l];
@@ -161,11 +163,10 @@ KMeansResult RunKMeans(const DenseMatrix& rows, const KMeansConfig& config) {
     return result;
   }
 
-  const simd::SquaredL2ToLanesFn to_lanes =
-      simd::ActiveKernels().squared_l2_to_lanes;
-  // Centroids stay contiguous rows while iterating: each is the kernel's
-  // point argument.
-  std::vector<double> centroids = SeedPlusPlus(to_lanes, rows, k, &rng);
+  const simd::SquaredL2BlockFn block = simd::ActiveKernels().squared_l2_block;
+  // Centroids stay contiguous rows while iterating: blocks of them are the
+  // kernel's points argument.
+  std::vector<double> centroids = SeedPlusPlus(block, rows, k, &rng);
   result.assignments.assign(n, 0);
   double prev_inertia = std::numeric_limits<double>::max();
   std::vector<double> sums(k * dim);
@@ -174,8 +175,8 @@ KMeansResult RunKMeans(const DenseMatrix& rows, const KMeansConfig& config) {
 
   for (size_t iter = 0; iter < config.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    const AssignStep step = AssignToNearest(to_lanes, rows, centroids.data(),
-                                            k, &result.assignments);
+    const AssignStep step = AssignToNearest(block, rows, centroids.data(), k,
+                                            &result.assignments);
     result.inertia = step.inertia;
 
     // Update step.

@@ -49,9 +49,9 @@ struct AssignStep {
 /// Lloyd's assignment step: moves every row of `rows` to the nearest of
 /// the k centroids stored contiguously (row-major, rows.dim() wide) at
 /// `centroids`, scanning ids in ascending order with strict `<` so ties go
-/// to the lower id. Distances come from `to_lanes`, one call per
-/// (centroid, tile of 8 rows).
-AssignStep AssignToNearest(simd::SquaredL2ToLanesFn to_lanes,
+/// to the lower id. Distances come from `block`, one call per (block of up
+/// to 8 centroids, tile of 8 rows).
+AssignStep AssignToNearest(simd::SquaredL2BlockFn block,
                            const DenseMatrix& rows, const double* centroids,
                            size_t k, std::vector<uint32_t>* assignments);
 

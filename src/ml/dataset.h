@@ -26,6 +26,12 @@ struct ExampleView {
 /// heap-allocated SparseVector per row. Rows are handed out as non-owning
 /// ExampleView/SparseVectorView — iterating a holdout touches three flat
 /// arrays sequentially, which is the layout the scoring kernels want.
+///
+/// Dense feature slots: as rows are added, each distinct feature id gets
+/// the next slot 0..D-1 (D = slot_ids().size()), and every stored entry
+/// records its slot. Scoring a fixed dataset many times (the holdout) can
+/// then compute one per-feature quantity per slot in a dense loop and let
+/// each row index it by slot.
 class Dataset {
  public:
   Dataset() { row_offsets_.push_back(0); }
@@ -33,9 +39,6 @@ class Dataset {
   /// Appends a copy of the view's entries to the arena.
   void Add(SparseVectorView x, int32_t y);
   void Add(ExampleView e) { Add(e.x, e.y); }
-
-  /// Pre-sizes the arena (optional; Add grows as needed).
-  void Reserve(size_t rows, size_t nnz);
 
   size_t size() const { return labels_.size(); }
   bool empty() const { return labels_.empty(); }
@@ -51,6 +54,13 @@ class Dataset {
         labels_[i]};
   }
   int32_t label(size_t i) const { return labels_[i]; }
+
+  /// Feature id of each slot.
+  const std::vector<uint32_t>& slot_ids() const { return slot_ids_; }
+  /// Slots of row i's entries, parallel to example(i).x's nonzeros.
+  const uint32_t* row_slots(size_t i) const {
+    return slots_.data() + row_offsets_[i];
+  }
 
   /// Iteration yields ExampleView by value; `examples()` keeps the
   /// pre-CSR call-site spelling `for (ExampleView e : ds.examples())`.
@@ -86,12 +96,25 @@ class Dataset {
 
  private:
   /// Rebuilds the arena with rows in `order` (a permutation of [0, size)).
+  /// Entries keep their slots.
   void Permute(const std::vector<size_t>& order);
+
+  /// Slot of feature `id`, assigning the next one on first sight.
+  uint32_t SlotOf(uint32_t id);
 
   std::vector<uint32_t> indices_;
   std::vector<double> values_;
+  std::vector<uint32_t> slots_;      // parallel to indices_
   std::vector<size_t> row_offsets_;  // size() + 1 entries; [0] == 0
   std::vector<int32_t> labels_;
+  std::vector<uint32_t> slot_ids_;   // slot -> feature id
+  // id -> slot, open addressing with linear probing; a power-of-two size
+  // kept at most half full. Ids span all of uint32, so no dense table.
+  struct SlotEntry {
+    uint32_t id;
+    uint32_t slot;  // kNoSlot marks an empty entry
+  };
+  std::vector<SlotEntry> slot_table_;
 };
 
 }  // namespace zombie

@@ -64,33 +64,34 @@ void NaiveBayesLearner::ScoreBatch(const Dataset& data, double* out) const {
     std::fill(out, out + data.size(), 0.0);
     return;
   }
-  // LogOdds with its per-feature weight hoisted out of the row loop: each
-  // distinct feature's weight is computed once, on first use, and each row
-  // then accumulates v * weight in its own nonzero order — the same
-  // operations as LogOdds, so every score is bit-identical to Score().
+  // LogOdds with its per-feature weight hoisted out of the row loop: one
+  // dense pass computes the weight of each of the dataset's feature slots,
+  // and each row then accumulates v * weight in its own nonzero order —
+  // the same operations as LogOdds, so every score is bit-identical to
+  // Score(). A zero count gives (0.0 + kAlpha) == kAlpha exactly, so its
+  // log is computed once per class and shared by every such feature.
   const Smoothing s = CurrentSmoothing();
-  // Ids past both count vectors have zero counts, hence one shared weight.
-  const size_t table_size =
-      std::max(token_count_[0].size(), token_count_[1].size());
-  const double unseen_weight = FeatureWeight(table_size, s);
-  std::vector<double> w(table_size);
-  std::vector<uint8_t> filled(table_size, 0);
+  const double zero_lp0 = std::log(kAlpha / s.denom0);
+  const double zero_lp1 = std::log(kAlpha / s.denom1);
+  const auto log_p = [](const std::vector<double>& counts, uint32_t f,
+                        double denom, double zero_lp) {
+    const double c = f < counts.size() ? counts[f] : 0.0;
+    return c == 0.0 ? zero_lp : std::log((c + kAlpha) / denom);
+  };
+  const std::vector<uint32_t>& ids = data.slot_ids();
+  std::vector<double> w(ids.size());
+  for (size_t slot = 0; slot < ids.size(); ++slot) {
+    w[slot] = log_p(token_count_[1], ids[slot], s.denom1, zero_lp1) -
+              log_p(token_count_[0], ids[slot], s.denom0, zero_lp0);
+  }
   for (size_t r = 0; r < data.size(); ++r) {
-    SparseVectorView x = data.example(r).x;
+    const SparseVectorView x = data.example(r).x;
+    const uint32_t* slots = data.row_slots(r);
     double log_odds = s.log_prior;
     for (size_t i = 0; i < x.num_nonzero(); ++i) {
-      double v = x.value_at(i);
+      const double v = x.value_at(i);
       if (v <= 0.0) continue;
-      uint32_t idx = x.index_at(i);
-      if (idx >= table_size) {
-        log_odds += v * unseen_weight;
-        continue;
-      }
-      if (filled[idx] == 0) {
-        w[idx] = FeatureWeight(idx, s);
-        filled[idx] = 1;
-      }
-      log_odds += v * w[idx];
+      log_odds += v * w[slots[i]];
     }
     out[r] = log_odds;
   }

@@ -20,8 +20,8 @@ namespace simd {
 /// the only project header they may include.
 constexpr uint32_t kPrunedFeature = 0xffffffffu;
 
-/// Vectors per SquaredL2ToLanes call (see SquaredL2ToLanesFn in
-/// sparse_kernels.h): the lane-interleaved block width.
+/// Rows per tile and points per block of a SquaredL2Block call (see
+/// SquaredL2BlockFn in sparse_kernels.h): the lane-interleaved tile width.
 constexpr size_t kDistanceLanes = 8;
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX2)
@@ -30,9 +30,11 @@ double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
 size_t Avx2RemapSparseView(const uint32_t* indices, const double* values,
                            size_t n, const uint32_t* remap, size_t remap_size,
                            uint32_t* out_indices, double* out_values);
+void Avx2SquaredL2Block(const double* points, size_t num_points,
+                        const double* lanes, size_t dim, double* out);
 // The AVX-512 table reuses this entry too (see dispatch.cc).
-void Avx2SquaredL2ToLanes(const double* point, const double* lanes,
-                          size_t dim, double* out);
+void ClmulCrc32Fold(uint32_t state, const uint8_t* data, size_t len,
+                    uint8_t* remainder);
 #endif
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX512)
@@ -42,6 +44,8 @@ size_t Avx512RemapSparseView(const uint32_t* indices, const double* values,
                              size_t n, const uint32_t* remap,
                              size_t remap_size, uint32_t* out_indices,
                              double* out_values);
+void Avx512SquaredL2Block(const double* points, size_t num_points,
+                          const double* lanes, size_t dim, double* out);
 #endif
 
 }  // namespace simd

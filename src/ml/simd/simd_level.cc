@@ -36,7 +36,10 @@ SimdLevel ProbeCpu() {
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return SimdLevel::kScalar;
   const bool has_osxsave = (ecx & (1u << 27)) != 0;
   const bool has_avx = (ecx & (1u << 28)) != 0;
-  if (!has_osxsave || !has_avx) return SimdLevel::kScalar;
+  // The AVX2 TU also holds the record CRC's carry-less fold. Every AVX2
+  // core has PCLMULQDQ; requiring it keeps the avx2 level one feature set.
+  const bool has_pclmul = (ecx & (1u << 1)) != 0;
+  if (!has_osxsave || !has_avx || !has_pclmul) return SimdLevel::kScalar;
   const uint64_t xcr0 = ReadXcr0();
   if ((xcr0 & kXcr0Ymm) != kXcr0Ymm) return SimdLevel::kScalar;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {

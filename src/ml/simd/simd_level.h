@@ -13,7 +13,7 @@ namespace simd {
 /// minimum of detected/compiled/forced" is the whole resolution story.
 enum class SimdLevel {
   kScalar = 0,  // baseline x86-64 (or any non-x86 target); the reference path
-  kAvx2 = 1,    // AVX2 (256-bit integer + FP lanes)
+  kAvx2 = 1,    // AVX2 (256-bit integer + FP lanes) and PCLMULQDQ
   kAvx512 = 2,  // AVX-512 F/BW/DQ/VL/CD (512-bit lanes + mask registers)
 };
 

@@ -8,9 +8,10 @@
 #include "ml/simd/kernel_entries.h"  // kPrunedFeature
 #include "ml/simd/simd_level.h"
 
-// Runtime ISA dispatch for the hot ML and index kernels: two sparse ones
-// (the sparse·sparse dot and pruning's remap compaction) and one dense
-// distance kernel. The contract every table entry obeys:
+// Runtime ISA dispatch for the hot ML, index and store kernels: two sparse
+// ones (the sparse·sparse dot and pruning's remap compaction), one dense
+// distance kernel and the record CRC's carry-less fold. The contract every
+// table entry obeys:
 // bit-identical results to the scalar reference in
 // sparse_kernels_scalar.h — same FP additions, same operands, same order.
 // SIMD implementations may only vectorize *index* work (scanning mismatch
@@ -46,27 +47,44 @@ using RemapSparseViewFn = size_t (*)(const uint32_t* indices,
                                      uint32_t* out_indices,
                                      double* out_values);
 
-/// Dense squared Euclidean distances from one point to kDistanceLanes (8)
-/// vectors stored lane-interleaved: component d of vector l is
-/// lanes[d * 8 + l], so `lanes` spans dim * 8 doubles. out[l] is
-/// sum over d = 0..dim-1, ascending, of (point[d] - lanes[d * 8 + l])^2,
+/// Dense squared Euclidean distances from a block of up to
+/// kDistanceLanes (8) points to the 8 rows of one tile. The points are
+/// `num_points` (1..8) contiguous rows of `dim` doubles; the tile stores
+/// its rows lane-interleaved: component d of row l is lanes[d * 8 + l], so
+/// `lanes` spans dim * 8 doubles. out[p * 8 + l] is the sum over
+/// d = 0..dim-1, ascending, of (points[p * dim + d] - lanes[d * 8 + l])^2,
 /// accumulated from 0.0 exactly as index/kmeans.h SquaredL2 does (one
 /// subtract, one multiply, one add per term; no FMA, no reassociation), so
-/// each lane equals SquaredL2(point, vector l) bit for bit. dim == 0 writes
-/// eight zeros. The index routes all its dense distances through here
-/// (k-means assignment and seeding, incremental nearest-centroid search).
-using SquaredL2ToLanesFn = void (*)(const double* point, const double* lanes,
-                                    size_t dim, double* out);
+/// each output equals SquaredL2(point p, row l) bit for bit. dim == 0
+/// writes zeros. `out` holds num_points * 8 doubles. The index routes all
+/// its dense distances through here: k-means assignment passes 8
+/// centroids per tile, seeding and nearest-centroid search pass one point.
+using SquaredL2BlockFn = void (*)(const double* points, size_t num_points,
+                                  const double* lanes, size_t dim,
+                                  double* out);
+
+/// CRC-32 (reflected polynomial 0xEDB88320) folding by carry-less
+/// multiplication, the bulk body of util/crc32.h's Crc32. `len` is a
+/// multiple of 16 and at least 64. Starting from the CRC register value
+/// `state`, folds the `len` bytes at `data` into a 128-bit remainder and
+/// writes it to `remainder` as 16 bytes whose CRC from a zero register
+/// equals the register after all of `data`. Pure GF(2) arithmetic, so the
+/// value cannot depend on the path. nullptr at levels without a carry-less
+/// multiply (scalar): Crc32 then runs slicing-by-8 over the whole input.
+using Crc32FoldFn = void (*)(uint32_t state, const uint8_t* data, size_t len,
+                             uint8_t* remainder);
 
 /// One dispatch table per ISA level. Preconditions (enforced by the
 /// sparse_vector.h wrappers, which keep the cutoff/resize/empty logic):
 ///   dot_sparse_sparse: na > 0 && nb > 0
 ///   remap_sparse_view: out buffers hold n entries
-///   squared_l2_to_lanes: none (called directly by the index)
+///   squared_l2_block: 1 <= num_points <= 8 (called directly by the index)
+///   crc32_fold: len % 16 == 0 && len >= 64 (called only by Crc32)
 struct SparseKernels {
   DotSparseSparseFn dot_sparse_sparse;
   RemapSparseViewFn remap_sparse_view;
-  SquaredL2ToLanesFn squared_l2_to_lanes;
+  SquaredL2BlockFn squared_l2_block;
+  Crc32FoldFn crc32_fold;
 };
 
 /// Table for the level resolved once from cpuid + compiled support +

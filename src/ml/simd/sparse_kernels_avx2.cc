@@ -1,7 +1,8 @@
-// AVX2 implementations of the four sparse kernels and the dense
-// point-to-lanes distance. Compiled with
-// "-mavx2 -ffp-contract=off" (see src/CMakeLists.txt); only reached through
-// the dispatch table after cpuid confirms AVX2, so nothing here may leak
+// AVX2 implementations of the sparse kernels and the dense block-to-tile
+// distance, and the record CRC's carry-less fold. Compiled with
+// "-mavx2 -mpclmul -ffp-contract=off" (see src/CMakeLists.txt); only
+// reached through the dispatch table after cpuid confirms AVX2 and
+// PCLMULQDQ (see simd_level.cc), so nothing here may leak
 // into other TUs — helpers stay in the anonymous namespace and the only
 // project include is the raw entry-point header (see kernel_entries.h for
 // the ODR rationale).
@@ -188,25 +189,99 @@ size_t Avx2RemapSparseView(const uint32_t* indices, const double* values,
   return out;
 }
 
-void Avx2SquaredL2ToLanes(const double* point, const double* lanes,
-                          size_t dim, double* out) {
-  // Two 4-lane accumulators, one per half of the 8-lane block. Each lane
-  // takes its terms in ascending d through one sub, one mul and one add —
-  // the scalar SquaredL2 chain, vectorized across lanes only. The cost is
-  // the add latency along d, which is why there is no AVX-512 variant: one
-  // 8-wide chain would be no shorter than these two 4-wide ones.
-  __m256d lo = _mm256_setzero_pd();
-  __m256d hi = _mm256_setzero_pd();
-  for (size_t d = 0; d < dim; ++d) {
-    const __m256d p = _mm256_broadcast_sd(point + d);
-    const double* row = lanes + d * kDistanceLanes;
-    const __m256d dlo = _mm256_sub_pd(p, _mm256_loadu_pd(row));
-    const __m256d dhi = _mm256_sub_pd(p, _mm256_loadu_pd(row + 4));
-    lo = _mm256_add_pd(lo, _mm256_mul_pd(dlo, dlo));
-    hi = _mm256_add_pd(hi, _mm256_mul_pd(dhi, dhi));
+void Avx2SquaredL2Block(const double* points, size_t num_points,
+                        const double* lanes, size_t dim, double* out) {
+  // One point at a time, with two 4-lane accumulators, one per half of the
+  // tile. Each lane takes its terms in ascending d through one sub, one mul
+  // and one add — the scalar SquaredL2 chain, vectorized across lanes only.
+  // The cost is the add latency along d: two chains cannot fill the adder.
+  // The AVX-512 entry runs eight points' chains side by side instead.
+  for (size_t p = 0; p < num_points; ++p) {
+    const double* point = points + p * dim;
+    __m256d lo = _mm256_setzero_pd();
+    __m256d hi = _mm256_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m256d x = _mm256_broadcast_sd(point + d);
+      const double* row = lanes + d * kDistanceLanes;
+      const __m256d dlo = _mm256_sub_pd(x, _mm256_loadu_pd(row));
+      const __m256d dhi = _mm256_sub_pd(x, _mm256_loadu_pd(row + 4));
+      lo = _mm256_add_pd(lo, _mm256_mul_pd(dlo, dlo));
+      hi = _mm256_add_pd(hi, _mm256_mul_pd(dhi, dhi));
+    }
+    _mm256_storeu_pd(out + p * kDistanceLanes, lo);
+    _mm256_storeu_pd(out + p * kDistanceLanes + 4, hi);
   }
-  _mm256_storeu_pd(out, lo);
-  _mm256_storeu_pd(out + 4, hi);
+}
+
+namespace {
+
+// Fold constants for the reflected CRC-32 polynomial P = 0x104C11DB7
+// (0xEDB88320 bit-reversed, x^32 term implied). A 16-byte block loaded
+// little-endian holds a polynomial of degree < 128 bit-reversed: bit i is
+// the coefficient of x^(127 - i), so the low qword holds the high half H
+// and the high qword the low half L. Moving a block e bits further down
+// the message multiplies it by x^e, that is H x^(e + 64) + L x^e, and each
+// half is replaced by its product with a 33-bit constant K, which keeps
+// the sum below degree 128. Stored as (K bit-reversed over 32 bits) << 1,
+// bit n of the carry-less product of H and K is the coefficient of
+// x^(95 - n) in H K, so the product is H K x^32 in block form: the
+// constant for a shift by x^e is K = x^(e - 32) mod P.
+constexpr uint64_t FoldConstant(unsigned e) {
+  // x^0 bit-reversed is bit 31; each multiply by x is a right shift that
+  // reduces by P when the x^31 coefficient (bit 0) moves out.
+  uint32_t r = 0x80000000u;
+  for (unsigned i = 0; i < e - 32; ++i) {
+    r = (r & 1u) != 0 ? (r >> 1) ^ 0xEDB88320u : r >> 1;
+  }
+  return static_cast<uint64_t>(r) << 1;
+}
+
+// {constant for H, constant for L}: fold by four blocks (512 bits) in the
+// main loop, then by one block (128 bits).
+constexpr uint64_t kFold512H = FoldConstant(512 + 64);
+constexpr uint64_t kFold512L = FoldConstant(512);
+constexpr uint64_t kFold128H = FoldConstant(128 + 64);
+constexpr uint64_t kFold128L = FoldConstant(128);
+
+// Moves `x` `k`'s distance down the message and adds `next` there: the low
+// qword (H) times k's low qword, the high qword (L) times its high qword.
+inline __m128i Fold(__m128i x, __m128i k, __m128i next) {
+  const __m128i h = _mm_clmulepi64_si128(x, k, 0x00);
+  const __m128i l = _mm_clmulepi64_si128(x, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(h, l), next);
+}
+
+inline __m128i Load(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+}  // namespace
+
+void ClmulCrc32Fold(uint32_t state, const uint8_t* data, size_t len,
+                    uint8_t* remainder) {
+  // The register enters as an XOR over the first four message bytes (the
+  // table loop's `lo ^= crc`). Four independent accumulators hide the
+  // multiply latency; each advances 64 bytes per step.
+  __m128i x0 = _mm_xor_si128(
+      Load(data), _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x1 = Load(data + 16);
+  __m128i x2 = Load(data + 32);
+  __m128i x3 = Load(data + 48);
+  const uint8_t* p = data + 64;
+  const uint8_t* const end = data + len;
+  const __m128i k512 = _mm_set_epi64x(static_cast<int64_t>(kFold512L),
+                                      static_cast<int64_t>(kFold512H));
+  for (; end - p >= 64; p += 64) {
+    x0 = Fold(x0, k512, Load(p));
+    x1 = Fold(x1, k512, Load(p + 16));
+    x2 = Fold(x2, k512, Load(p + 32));
+    x3 = Fold(x3, k512, Load(p + 48));
+  }
+  const __m128i k128 = _mm_set_epi64x(static_cast<int64_t>(kFold128L),
+                                      static_cast<int64_t>(kFold128H));
+  __m128i x = Fold(Fold(Fold(x0, k128, x1), k128, x2), k128, x3);
+  for (; p < end; p += 16) x = Fold(x, k128, Load(p));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(remainder), x);
 }
 
 }  // namespace simd

@@ -1,5 +1,6 @@
-// AVX-512 implementations of the four sparse kernels (the dense lane
-// kernel reuses the AVX2 entry; see dispatch.cc). Compiled with
+// AVX-512 implementations of the sparse kernels and the dense block-to-tile
+// distance (the CRC fold reuses the AVX2 TU's entry; see dispatch.cc).
+// Compiled with
 // "-mavx512f -mavx512bw -mavx512dq -mavx512vl -mavx512cd -ffp-contract=off"
 // and reached only through the dispatch table after cpuid confirms the full
 // feature set (see simd_level.cc). Same isolation and bit-identity rules as
@@ -104,6 +105,47 @@ size_t Avx512RemapSparseView(const uint32_t* indices, const double* values,
     ++out;
   }
   return out;
+}
+
+namespace {
+
+// P points against one tile: P independent 8-lane chains, one zmm each.
+// Chain p takes its terms in ascending d through one sub, one mul and one
+// add per lane, exactly the SquaredL2 chain; with the points side by side
+// the adder always has P additions in flight instead of waiting out one
+// chain's latency per d. The tile row is loaded once per d for all P.
+template <size_t P>
+void Block(const double* points, const double* lanes, size_t dim,
+           double* out) {
+  __m512d acc[P];
+  for (size_t p = 0; p < P; ++p) acc[p] = _mm512_setzero_pd();
+  for (size_t d = 0; d < dim; ++d) {
+    const __m512d row = _mm512_loadu_pd(lanes + d * kDistanceLanes);
+    for (size_t p = 0; p < P; ++p) {
+      const __m512d diff =
+          _mm512_sub_pd(_mm512_set1_pd(points[p * dim + d]), row);
+      acc[p] = _mm512_add_pd(acc[p], _mm512_mul_pd(diff, diff));
+    }
+  }
+  for (size_t p = 0; p < P; ++p) {
+    _mm512_storeu_pd(out + p * kDistanceLanes, acc[p]);
+  }
+}
+
+}  // namespace
+
+void Avx512SquaredL2Block(const double* points, size_t num_points,
+                          const double* lanes, size_t dim, double* out) {
+  switch (num_points) {
+    case 1: return Block<1>(points, lanes, dim, out);
+    case 2: return Block<2>(points, lanes, dim, out);
+    case 3: return Block<3>(points, lanes, dim, out);
+    case 4: return Block<4>(points, lanes, dim, out);
+    case 5: return Block<5>(points, lanes, dim, out);
+    case 6: return Block<6>(points, lanes, dim, out);
+    case 7: return Block<7>(points, lanes, dim, out);
+    default: return Block<kDistanceLanes>(points, lanes, dim, out);
+  }
 }
 
 }  // namespace simd

@@ -92,22 +92,29 @@ inline size_t ScalarRemapSparseView(const uint32_t* indices,
   return out;
 }
 
-/// Point-to-8-lanes squared distance (contract next to SquaredL2ToLanesFn
-/// in sparse_kernels.h). Lanes are independent accumulators, each fed its
-/// terms in ascending d, so the compiler may vectorize across lanes but the
-/// per-lane sum is the serial SquaredL2 chain.
-inline void ScalarSquaredL2ToLanes(const double* point, const double* lanes,
-                                   size_t dim, double* out) {
-  double acc[kDistanceLanes] = {};
-  for (size_t d = 0; d < dim; ++d) {
-    const double p = point[d];
-    const double* row = lanes + d * kDistanceLanes;
+/// Block-to-tile squared distances (contract next to SquaredL2BlockFn in
+/// sparse_kernels.h). For each point, the tile's lanes are independent
+/// accumulators, each fed its terms in ascending d, so the compiler may
+/// vectorize across lanes but the per-lane sum is the serial SquaredL2
+/// chain.
+inline void ScalarSquaredL2Block(const double* points, size_t num_points,
+                                 const double* lanes, size_t dim,
+                                 double* out) {
+  for (size_t p = 0; p < num_points; ++p) {
+    const double* point = points + p * dim;
+    double acc[kDistanceLanes] = {};
+    for (size_t d = 0; d < dim; ++d) {
+      const double x = point[d];
+      const double* row = lanes + d * kDistanceLanes;
+      for (size_t l = 0; l < kDistanceLanes; ++l) {
+        const double diff = x - row[l];
+        acc[l] += diff * diff;
+      }
+    }
     for (size_t l = 0; l < kDistanceLanes; ++l) {
-      const double diff = p - row[l];
-      acc[l] += diff * diff;
+      out[p * kDistanceLanes + l] = acc[l];
     }
   }
-  for (size_t l = 0; l < kDistanceLanes; ++l) out[l] = acc[l];
 }
 
 }  // namespace simd

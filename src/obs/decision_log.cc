@@ -82,32 +82,11 @@ std::vector<DecisionRecord> DecisionLog::Records(
   return it == runs_.end() ? std::vector<DecisionRecord>() : it->second;
 }
 
-size_t DecisionLog::num_prune_events() const {
-  MutexLock lock(&mu_);
-  size_t n = 0;
-  for (const auto& [label, events] : prunes_) n += events.size();
-  return n;
-}
-
 std::vector<PruneEvent> DecisionLog::PruneEvents(
     const std::string& run_label) const {
   MutexLock lock(&mu_);
   auto it = prunes_.find(run_label);
   return it == prunes_.end() ? std::vector<PruneEvent>() : it->second;
-}
-
-size_t DecisionLog::num_ingest_events() const {
-  MutexLock lock(&mu_);
-  size_t n = 0;
-  for (const auto& [label, events] : ingests_) n += events.size();
-  return n;
-}
-
-std::vector<IngestEvent> DecisionLog::IngestEvents(
-    const std::string& run_label) const {
-  MutexLock lock(&mu_);
-  auto it = ingests_.find(run_label);
-  return it == ingests_.end() ? std::vector<IngestEvent>() : it->second;
 }
 
 std::string DecisionLog::ToJsonl() const {

@@ -103,8 +103,6 @@ class DecisionLog {
 
   size_t num_runs() const ZOMBIE_EXCLUDES(mu_);
   size_t num_records() const ZOMBIE_EXCLUDES(mu_);
-  size_t num_prune_events() const ZOMBIE_EXCLUDES(mu_);
-  size_t num_ingest_events() const ZOMBIE_EXCLUDES(mu_);
 
   /// Run labels in serialization (lexicographic) order.
   std::vector<std::string> Labels() const ZOMBIE_EXCLUDES(mu_);
@@ -115,10 +113,6 @@ class DecisionLog {
 
   /// Prune events for one run label (empty when absent).
   std::vector<PruneEvent> PruneEvents(const std::string& run_label) const
-      ZOMBIE_EXCLUDES(mu_);
-
-  /// Ingest events for one run label (empty when absent).
-  std::vector<IngestEvent> IngestEvents(const std::string& run_label) const
       ZOMBIE_EXCLUDES(mu_);
 
   /// JSON Lines: one object per record, runs in label order, records in

@@ -48,10 +48,6 @@ class Stopwatch {
         .count();
   }
 
-  double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedMicros()) / 1e6;
-  }
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

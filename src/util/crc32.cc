@@ -33,11 +33,8 @@ constexpr CrcTables MakeCrcTables() {
 
 constexpr CrcTables kTables = MakeCrcTables();
 
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
+// The table loop, from register `crc` (no pre- or post-inversion).
+uint32_t Slicing8(uint32_t crc, const uint8_t* p, size_t len) {
   for (; len >= 8; p += 8, len -= 8) {
     uint32_t lo;
     uint32_t hi;
@@ -52,7 +49,34 @@ uint32_t Crc32(const void* data, size_t len) {
   for (; len > 0; ++p, --len) {
     crc = kTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+// Shortest input the fold takes (its four 16-byte accumulators).
+constexpr size_t kFoldMinBytes = 64;
+
+}  // namespace
+
+uint32_t Crc32WithFold(simd::Crc32FoldFn fold, const void* data,
+                       size_t len) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint32_t crc = 0xFFFFFFFFu;
+  if (fold != nullptr && len >= kFoldMinBytes) {
+    // The fold leaves a 16-byte remainder whose CRC from a zero register
+    // is the register after the folded blocks.
+    const size_t bulk = len & ~size_t{15};
+    uint8_t remainder[16];
+    fold(crc, p, bulk, remainder);
+    crc = Slicing8(0, remainder, sizeof(remainder));
+    p += bulk;
+    len -= bulk;
+  }
+  return Slicing8(crc, p, len) ^ 0xFFFFFFFFu;
+}
+
+uint32_t Crc32(const void* data, size_t len) {
+  static const simd::Crc32FoldFn fold = simd::ActiveKernels().crc32_fold;
+  return Crc32WithFold(fold, data, len);
 }
 
 }  // namespace zombie

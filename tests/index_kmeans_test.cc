@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/random.h"
 
 namespace zombie {
@@ -149,7 +153,54 @@ TEST(NearestRowTest, MatchesScalarArgminWithLowerIdTies) {
 }
 
 TEST(AssignToNearestTest, MatchesPerRowNearestAndSumsInRowOrder) {
+  // Every level's block entry, at k below, at and around multiples of the
+  // 8-centroid block, against the scalar per-pair argmin (strict <,
+  // ascending ids) and the row-order inertia sum.
   Rng rng(9);
+  const size_t dim = 5;
+  std::vector<std::vector<double>> rows(37, std::vector<double>(dim));
+  for (auto& r : rows) {
+    for (double& v : r) v = rng.NextGaussian();
+  }
+  rows[20] = rows[3];  // a tie: equal distances to centroids 3 and 20
+  const DenseMatrix m = DenseMatrix::FromRows(rows);
+  for (simd::SimdLevel level : simd::AvailableLevels()) {
+    const simd::SquaredL2BlockFn block =
+        simd::KernelsForLevel(level)->squared_l2_block;
+    for (size_t k : {1, 7, 8, 9, 11, 16, 17, 25}) {
+      SCOPED_TRACE(std::string(simd::SimdLevelName(level)) +
+                   " k=" + std::to_string(k));
+      std::vector<double> flat;
+      for (size_t c = 0; c < k; ++c) {
+        flat.insert(flat.end(), rows[c].begin(), rows[c].end());
+      }
+      std::vector<uint32_t> assignments(rows.size(), 0);
+      const AssignStep step =
+          AssignToNearest(block, m, flat.data(), k, &assignments);
+      double inertia = 0.0;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        double best = std::numeric_limits<double>::max();
+        uint32_t best_c = 0;
+        for (size_t c = 0; c < k; ++c) {
+          const double d = SquaredL2(rows[i].data(), &flat[c * dim], dim);
+          if (d < best) {
+            best = d;
+            best_c = static_cast<uint32_t>(c);
+          }
+        }
+        EXPECT_EQ(assignments[i], best_c) << "row " << i;
+        inertia += best;
+      }
+      EXPECT_EQ(step.inertia, inertia);
+      EXPECT_EQ(step.changed, k > 1);
+      EXPECT_FALSE(AssignToNearest(block, m, flat.data(), k, &assignments)
+                       .changed);
+    }
+  }
+}
+
+TEST(NearestRowTest, MatchesAssignToNearest) {
+  Rng rng(10);
   const size_t dim = 5;
   const size_t k = 11;
   std::vector<std::vector<double>> rows(37, std::vector<double>(dim));
@@ -162,20 +213,13 @@ TEST(AssignToNearestTest, MatchesPerRowNearestAndSumsInRowOrder) {
   const DenseMatrix m = DenseMatrix::FromRows(rows);
   const DenseMatrix cm = DenseMatrix::FromRows(centroids);
   std::vector<uint32_t> assignments(rows.size(), 0);
-  const AssignStep step =
-      AssignToNearest(simd::ActiveKernels().squared_l2_to_lanes, m,
-                      flat.data(), k, &assignments);
-  double inertia = 0.0;
+  AssignToNearest(simd::ActiveKernels().squared_l2_block, m, flat.data(), k,
+                  &assignments);
   for (size_t i = 0; i < rows.size(); ++i) {
     double d;
     EXPECT_EQ(assignments[i], NearestRow(cm, rows[i].data(), &d));
-    inertia += d;
+    EXPECT_EQ(d, SquaredL2(rows[i], centroids[assignments[i]]));
   }
-  EXPECT_EQ(step.inertia, inertia);
-  EXPECT_TRUE(step.changed);
-  EXPECT_FALSE(AssignToNearest(simd::ActiveKernels().squared_l2_to_lanes, m,
-                               flat.data(), k, &assignments)
-                   .changed);
 }
 
 TEST(DenseMatrixTest, RowsSurviveTileAndBlockBoundaries) {

@@ -7,6 +7,7 @@
 #include "ml/adagrad_lr.h"
 #include "ml/dataset.h"
 #include "ml/evaluator.h"
+#include "ml/feature_pruner.h"
 #include "ml/logistic_regression.h"
 #include "ml/majority.h"
 #include "ml/metrics.h"
@@ -273,6 +274,34 @@ TEST(ScoreBatchTest, BitIdenticalToPerRowScoreForEveryLearner) {
     }
     ExpectBatchMatchesPerRow(*learner, compacted, "compacted");
   }
+}
+
+TEST(ScoreBatchTest, NaiveBayesSlotsMatchPerRowScore) {
+  // The slot weights against per-row Score on: explicit zero and negative
+  // values, ids past both count vectors (and far past any dense table), a
+  // Shuffle'd dataset, and a FeaturePruner::CompactDataset output scored by
+  // the compacted model.
+  Rng rng(51);
+  NaiveBayesLearner nb;
+  FeaturePrunerOptions opts = ConservativePruning();
+  opts.freeze_after_items = 300;
+  FeaturePruner pruner(opts);
+  Dataset train = MixedData(300, 600, &rng);
+  for (ExampleView e : train.examples()) {
+    pruner.ObserveExample(e.x);
+    nb.Update(e.x, e.y);
+  }
+  Dataset test = MixedData(200, 900, &rng);
+  const uint32_t idx[] = {5, 17, 599, 600, 899, 4000000000u};
+  const double val[] = {0.0, -1.5, 2.0, 0.0, 1.0, 3.0};
+  test.Add(SparseVectorView(idx, val, 6), 1);
+  test.Add(SparseVectorView(idx, val, 0), 0);
+  ExpectBatchMatchesPerRow(nb, test, "added");
+  test.Shuffle(&rng);
+  ExpectBatchMatchesPerRow(nb, test, "shuffled");
+  ASSERT_TRUE(pruner.MaybeFreeze(&nb, 300));
+  ASSERT_GT(pruner.stats().pruned_features, 0u);
+  ExpectBatchMatchesPerRow(nb, pruner.CompactDataset(test), "compacted");
 }
 
 // --- Learner-specific behaviors -------------------------------------------

@@ -467,45 +467,67 @@ double AdversarialValue(Rng* rng) {
   }
 }
 
-// SquaredL2ToLanes at `level` must equal eight SquaredL2 calls bit for bit.
-void ExpectLanesMatchSquaredL2(const SparseKernels& table, size_t dim,
-                               Rng* rng, const std::string& label) {
-  SCOPED_TRACE(label + " dim=" + std::to_string(dim));
+// SquaredL2Block at `level` on `num_points` points must equal
+// num_points * 8 SquaredL2 calls bit for bit.
+void ExpectBlockMatchesSquaredL2(const SparseKernels& table, size_t dim,
+                                 size_t num_points, Rng* rng,
+                                 const std::string& label) {
+  SCOPED_TRACE(label + " dim=" + std::to_string(dim) +
+               " points=" + std::to_string(num_points));
   constexpr size_t kLanes = simd::kDistanceLanes;
-  std::vector<double> point(dim);
-  for (double& v : point) v = AdversarialValue(rng);
+  std::vector<std::vector<double>> points(num_points,
+                                          std::vector<double>(dim));
+  for (auto& p : points) {
+    for (double& v : p) v = AdversarialValue(rng);
+  }
   std::vector<std::vector<double>> vecs(kLanes, std::vector<double>(dim));
   for (auto& v : vecs) {
     for (double& x : v) x = AdversarialValue(rng);
   }
-  // Lanes equal to the point give exact-zero differences of either sign.
-  if (dim > 0) vecs[3] = point;
+  // Lanes equal to a point give exact-zero differences of either sign.
+  if (dim > 0) vecs[3] = points[num_points - 1];
+  std::vector<double> flat;
+  for (const auto& p : points) flat.insert(flat.end(), p.begin(), p.end());
   std::vector<double> lanes(dim * kLanes);
   for (size_t d = 0; d < dim; ++d) {
     for (size_t l = 0; l < kLanes; ++l) lanes[d * kLanes + l] = vecs[l][d];
   }
-  double got[kLanes];
-  double want[kLanes];
-  std::memset(got, 0xA5, sizeof(got));
-  table.squared_l2_to_lanes(point.data(), lanes.data(), dim, got);
-  for (size_t l = 0; l < kLanes; ++l) want[l] = SquaredL2(point, vecs[l]);
-  EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0) << [&] {
-    std::string msg;
+  // One slot past the block must stay untouched.
+  std::vector<double> got(num_points * kLanes + 1);
+  std::memset(got.data(), 0xA5, got.size() * sizeof(double));
+  const double sentinel = got.back();
+  std::vector<double> want(num_points * kLanes);
+  table.squared_l2_block(flat.data(), num_points, lanes.data(), dim,
+                         got.data());
+  for (size_t p = 0; p < num_points; ++p) {
     for (size_t l = 0; l < kLanes; ++l) {
-      msg += StrFormat("lane %zu: %a vs %a\n", l, got[l], want[l]);
+      want[p * kLanes + l] = SquaredL2(points[p], vecs[l]);
     }
-    return msg;
-  }();
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0)
+      << [&] {
+           std::string msg;
+           for (size_t i = 0; i < want.size(); ++i) {
+             msg += StrFormat("point %zu lane %zu: %a vs %a\n", i / kLanes,
+                              i % kLanes, got[i], want[i]);
+           }
+           return msg;
+         }();
+  EXPECT_EQ(Bits(got.back()), Bits(sentinel));
 }
 
-TEST_F(SimdKernelsTest, SquaredL2ToLanesMatchesScalarSquaredL2) {
+TEST_F(SimdKernelsTest, SquaredL2BlockMatchesScalarSquaredL2) {
   Rng rng(2024);
   for (SimdLevel level : simd::AvailableLevels()) {
     const SparseKernels& table = *simd::KernelsForLevel(level);
-    for (size_t dim : {0, 1, 2, 3, 4, 5, 7, 9, 31, 33, 127, 128, 129}) {
-      for (int rep = 0; rep < 20; ++rep) {
-        ExpectLanesMatchSquaredL2(table, dim, &rng,
-                                  simd::SimdLevelName(level));
+    for (size_t dim = 0; dim <= 129; ++dim) {
+      for (size_t points = 1; points <= simd::kDistanceLanes; ++points) {
+        for (int rep = 0; rep < 2; ++rep) {
+          ExpectBlockMatchesSquaredL2(table, dim, points, &rng,
+                                      simd::SimdLevelName(level));
+        }
       }
     }
   }

@@ -1,16 +1,22 @@
 // CRC-32 (util/crc32.h): known answers for the zlib/gzip flavour, and a
-// differential check of the slicing-by-8 loop against the bit-at-a-time
-// definition at every length up to 4100 bytes and every start alignment,
-// so the 8-byte step, the byte tail and any misaligned load all meet the
-// reference.
+// differential check of every body — Crc32 at this process's level
+// (ZOMBIE_SIMD_LEVEL forces it), slicing-by-8 alone, and each available
+// level's carry-less fold — against the bit-at-a-time definition at every
+// length up to 4200 bytes and every start alignment, so the 8-byte step,
+// the 64-byte fold, the 16-byte fold tail, the byte tail and any
+// misaligned load all meet the reference.
 
 #include "util/crc32.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "ml/simd/simd_level.h"
+#include "ml/simd/sparse_kernels.h"
 #include "util/random.h"
 
 namespace zombie {
@@ -43,7 +49,22 @@ TEST(Crc32Test, KnownAnswers) {
 }
 
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  constexpr size_t kMaxLen = 4100;
+  using Body = std::function<uint32_t(const uint8_t*, size_t)>;
+  std::vector<std::pair<std::string, Body>> bodies = {
+      {"Crc32", [](const uint8_t* p, size_t n) { return Crc32(p, n); }},
+      {"slicing-by-8",
+       [](const uint8_t* p, size_t n) { return Crc32WithFold(nullptr, p, n); }},
+  };
+  for (simd::SimdLevel level : simd::AvailableLevels()) {
+    const simd::Crc32FoldFn fold = simd::KernelsForLevel(level)->crc32_fold;
+    if (fold == nullptr) continue;
+    bodies.emplace_back(
+        std::string("fold at ") + simd::SimdLevelName(level),
+        [fold](const uint8_t* p, size_t n) {
+          return Crc32WithFold(fold, p, n);
+        });
+  }
+  constexpr size_t kMaxLen = 4200;
   constexpr size_t kAlignments = 8;
   Rng rng(0xC4C32);
   std::vector<uint8_t> buffer(kMaxLen + kAlignments);
@@ -51,9 +72,11 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   for (size_t align = 0; align < kAlignments; ++align) {
     const uint8_t* data = buffer.data() + align;
     const std::vector<uint32_t> want = BitwisePrefixCrcs(data, kMaxLen);
-    for (size_t len = 0; len <= kMaxLen; ++len) {
-      ASSERT_EQ(Crc32(data, len), want[len])
-          << "len=" << len << " align=" << align;
+    for (const auto& [name, body] : bodies) {
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(body(data, len), want[len])
+            << name << " len=" << len << " align=" << align;
+      }
     }
   }
 }

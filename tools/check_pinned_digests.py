@@ -2,8 +2,10 @@
 """Checks zombie_cli's run behaviour against digests pinned in the repo.
 
 Runs three `zombie_cli run` invocations (plain, --prune=conservative,
-and streaming) and compares the sha256 of each
-RunResult fingerprint file and DecisionLog with tools/pinned_digests.txt.
+and streaming) and a `zombie_cli session --warm` pair over one feature
+store (a cold run that populates it, then a replay that reads every
+record back), and compares the sha256 of each RunResult fingerprint file,
+session summary and DecisionLog with tools/pinned_digests.txt.
 The CI SIMD job runs it once per forced ISA level (ZOMBIE_SIMD_LEVEL), so
 the outputs are pinned across levels and across commits. On a mismatch it prints the
 differing files and paste-ready replacement lines: replace them only for a
@@ -30,6 +32,12 @@ RUNS = {
     "prune_": ["--max_items=400", "--prune=conservative"],
     "stream_": ["--max_items=900", "--stream=0.33", "--ingest-rate=100"],
 }
+# The session pair runs k-means grouping over whole sessions, holdout
+# scoring at every revision's feature width, and (on the replay) the
+# store's record CRC on every hit. Each writes <prefix>summary.txt (its
+# stdout) and <prefix>decisions.jsonl.
+SESSION = ["session", "--task=webcat", "--docs=1500", "--warm"]
+SESSION_RUNS = ["session_cold_", "session_replay_"]
 TIMEOUT_S = 30
 
 
@@ -55,6 +63,28 @@ def run_all(cli, out_dir):
                    proc.stderr.decode(errors="replace").strip()))
             return None
         for name in (fingerprint, decisions):
+            actual[name] = sha256(os.path.join(out_dir, name))
+    store = os.path.join(out_dir, "session.store")
+    if os.path.exists(store):
+        os.remove(store)  # the first session run must start cold
+    for prefix in SESSION_RUNS:
+        summary = prefix + "summary.txt"
+        decisions = prefix + "decisions.jsonl"
+        cmd = [cli] + SESSION + [
+            "--store-path=" + store,
+            "--decisions-out=" + os.path.join(out_dir, decisions)]
+        proc = subprocess.run(cmd, capture_output=True, timeout=TIMEOUT_S)
+        if proc.returncode != 0:
+            print("FAIL: %s exited %d: %s" %
+                  (" ".join(cmd), proc.returncode,
+                   proc.stderr.decode(errors="replace").strip()))
+            return None
+        # Drop the line naming the output path; the rest is the summary.
+        lines = proc.stdout.decode().splitlines(keepends=True)
+        with open(os.path.join(out_dir, summary), "w") as f:
+            f.writelines(line for line in lines
+                         if not line.startswith("decision log written"))
+        for name in (summary, decisions):
             actual[name] = sha256(os.path.join(out_dir, name))
     return actual
 
