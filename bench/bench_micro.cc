@@ -19,17 +19,23 @@
 #include "data/webcat_generator.h"
 #include "featureeng/feature_cache.h"
 #include "index/kmeans.h"
+#include "index/kmeans_grouper.h"
 #include "index/signature.h"
 #include "ml/dataset.h"
+#include "ml/feature_pruner.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
 #include "ml/simd/simd_level.h"
 #include "ml/simd/sparse_kernels.h"
 #include "ml/sparse_vector.h"
+#include "obs/decision_log.h"
+#include "obs/json_util.h"
+#include "obs/obs.h"
 #include "text/term_counts.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace zombie {
 namespace {
@@ -792,6 +798,128 @@ void BM_PipelineFingerprint(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineFingerprint);
 
+// DecisionLog::ToJsonl as it was before the number memo: every number
+// through AppendJsonNumber, each pull line through two StrFormat calls,
+// and the output string grown by doubling. It reads copies of the log's
+// runs taken at set-up.
+struct RefDecisionRuns {
+  std::vector<std::pair<std::string, std::vector<DecisionRecord>>> records;
+  std::map<std::string, std::vector<PruneEvent>> prunes;
+};
+
+std::string RefDecisionLogJsonl(const RefDecisionRuns& runs) {
+  using obs_internal::AppendJsonNumber;
+  std::string out;
+  for (const auto& [label, records] : runs.records) {
+    std::string escaped = obs_internal::JsonEscape(label);
+    for (const DecisionRecord& r : records) {
+      out += StrFormat(
+          "{\"run\": \"%s\", \"iter\": %llu, \"arm\": %u, \"doc\": %u, "
+          "\"reward\": ",
+          escaped.c_str(), static_cast<unsigned long long>(r.iteration),
+          r.arm, r.doc_id);
+      AppendJsonNumber(&out, r.reward);
+      out += StrFormat(
+          ", \"cache\": \"%s\", \"cost_us\": %lld, \"virtual_us\": %lld, "
+          "\"scores\": [",
+          CacheOutcomeName(r.cache),
+          static_cast<long long>(r.extraction_cost_micros),
+          static_cast<long long>(r.virtual_micros));
+      for (size_t i = 0; i < r.arm_scores.size(); ++i) {
+        if (i > 0) out += ", ";
+        AppendJsonNumber(&out, r.arm_scores[i]);
+      }
+      out += "]}\n";
+    }
+    auto it = runs.prunes.find(label);
+    if (it != runs.prunes.end()) {
+      for (const PruneEvent& p : it->second) {
+        out += StrFormat(
+            "{\"run\": \"%s\", \"kind\": \"prune\", \"items\": %llu, "
+            "\"virtual_us\": %lld, \"input_dim\": %llu, \"kept\": %llu, "
+            "\"pruned\": %llu}\n",
+            escaped.c_str(), static_cast<unsigned long long>(p.items),
+            static_cast<long long>(p.virtual_micros),
+            static_cast<unsigned long long>(p.input_dimension),
+            static_cast<unsigned long long>(p.kept_features),
+            static_cast<unsigned long long>(p.pruned_features));
+      }
+    }
+  }
+  return out;
+}
+
+// A DecisionLog shaped like a perfbench grid unit's: the 8 policies x
+// {label, improvement} over one EntityExtract corpus, naive Bayes with
+// conservative pruning, offline (no ingest lines). Built once per process.
+struct DecisionLogFixture {
+  DecisionLogFixture() : obs(LogOnly()) {
+    Task task = MakeTask(TaskKind::kEntity, 2000, 3);
+    KMeansGrouper grouper(16, 7);
+    GroupingResult grouping = grouper.Group(task.corpus);
+    std::unique_ptr<RewardFunction> label = MakeReward(RewardKind::kLabel);
+    std::unique_ptr<RewardFunction> improvement =
+        MakeReward(RewardKind::kImprovement);
+    NaiveBayesLearner learner;
+    ExperimentDriverOptions dopts;
+    dopts.num_threads = 1;
+    dopts.engine = bench::BenchEngineOptions(1);
+    dopts.engine.stop.max_items = 600;
+    dopts.engine.pruning = ConservativePruning();
+    dopts.engine.obs = &obs;
+    ExperimentDriver driver(&task.corpus, &task.pipeline, dopts);
+    ExperimentGrid grid;
+    grid.policies = {PolicyKind::kRoundRobin,    PolicyKind::kUniformRandom,
+                     PolicyKind::kEpsilonGreedy, PolicyKind::kUcb1,
+                     PolicyKind::kSlidingUcb,    PolicyKind::kThompson,
+                     PolicyKind::kExp3,          PolicyKind::kSoftmax};
+    grid.groupings = {&grouping};
+    grid.rewards = {label.get(), improvement.get()};
+    grid.learners = {&learner};
+    grid.seeds = {1};
+    ZCHECK(driver.RunGrid(grid).ok());
+    for (const std::string& run : obs.decisions()->Labels()) {
+      ref.records.emplace_back(run, obs.decisions()->Records(run));
+      std::vector<PruneEvent> prunes = obs.decisions()->PruneEvents(run);
+      if (!prunes.empty()) ref.prunes[run] = std::move(prunes);
+    }
+    ZCHECK(RefDecisionLogJsonl(ref) == obs.decisions()->ToJsonl())
+        << "reference serializer diverged from DecisionLog::ToJsonl";
+  }
+
+  static ObsOptions LogOnly() {
+    ObsOptions o;
+    o.metrics = false;
+    o.trace = false;
+    o.decision_log = true;
+    return o;
+  }
+
+  ObsContext obs;
+  RefDecisionRuns ref;
+};
+
+// Serializing one grid-shaped DecisionLog, through the reference above and
+// through ToJsonl; the "ratio.decision_log_jsonl" gate is the reference
+// wall over the ToJsonl wall.
+void BM_DecisionLogJsonl(benchmark::State& state, bool reference) {
+  static const DecisionLogFixture* fixture = new DecisionLogFixture();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string jsonl = reference ? RefDecisionLogJsonl(fixture->ref)
+                                  : fixture->obs.decisions()->ToJsonl();
+    bytes = jsonl.size();
+    benchmark::DoNotOptimize(jsonl.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_DecisionLogJsonl, reference, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DecisionLogJsonl, memo, false)
+    ->Unit(benchmark::kMillisecond);
+
 // Console output plus the repo's machine-readable BENCH_micro.json (per-
 // iteration real time in the wall_micros field) when ZOMBIE_BENCH_JSON_DIR
 // is set.
@@ -841,7 +969,9 @@ void ExportKernelRatios(const JsonExportReporter& console,
         {"BM_NaiveBayesScoreAll/lazy_table", "BM_NaiveBayesScoreAll/batch"}},
        {"ratio.store_crc32", {"BM_RefStoreCrc32", "BM_StoreCrc32Slicing8"}},
        {"ratio.store_crc32_clmul",
-        {"BM_StoreCrc32Slicing8", "BM_StoreCrc32Clmul"}}};
+        {"BM_StoreCrc32Slicing8", "BM_StoreCrc32Clmul"}},
+       {"ratio.decision_log_jsonl",
+        {"BM_DecisionLogJsonl/reference", "BM_DecisionLogJsonl/memo"}}};
   for (const auto& [metric, pair] : kPairs) {
     const double old_wall = console.WallOf(pair.first);
     const double new_wall = console.WallOf(pair.second);

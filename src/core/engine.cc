@@ -414,7 +414,8 @@ class EngineRun {
     inputs.features = x;
     inputs.label = y;
     inputs.score_before = learner_->Score(x);
-    inputs.probability_before = learner_->PredictProbability(x);
+    inputs.probability_before =
+        Learner::ProbabilityFromScore(inputs.score_before);
     inputs.seen_positive = result_.positives_processed;
     inputs.seen_negative = items_ - result_.positives_processed;
     double probe_before = 0.0;

@@ -47,11 +47,18 @@ class Learner {
     return Score(x) > 0.0 ? 1 : 0;
   }
 
-  /// P(y == 1 | x) in [0, 1]. Default squashes Score through a logistic —
-  /// exact for the log-odds learners (naive Bayes, both logistic
-  /// regressions); learners calibrated some other way override.
+  /// P(y == 1 | x) in [0, 1]. Default squashes Score through
+  /// ProbabilityFromScore — exact for the log-odds learners (naive Bayes,
+  /// both logistic regressions). No learner in src/ml/ overrides it, so the
+  /// engine derives a pull's probability from the pull's one Score
+  /// (ml_learners_test pins the equality for every learner).
   virtual double PredictProbability(SparseVectorView x) const {
-    return 1.0 / (1.0 + std::exp(-Score(x)));
+    return ProbabilityFromScore(Score(x));
+  }
+
+  /// The logistic squash of a decision value.
+  static double ProbabilityFromScore(double score) {
+    return 1.0 / (1.0 + std::exp(-score));
   }
 
   /// Forgets all training state.

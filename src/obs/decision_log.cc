@@ -1,5 +1,6 @@
 #include "obs/decision_log.h"
 
+#include <charconv>
 #include <utility>
 
 #include "obs/json_util.h"
@@ -89,29 +90,74 @@ std::vector<PruneEvent> DecisionLog::PruneEvents(
   return it == prunes_.end() ? std::vector<PruneEvent>() : it->second;
 }
 
+namespace {
+
+// Upper bounds on serialized sizes, for ToJsonl's one reserve. A line's
+// keys, punctuation, integer fields and reward fit kMaxLineChars (the
+// widest, an ingest line, needs 109 + 6 x 20); each score takes at most 24
+// chars ("-1.2345678901234567e-308") plus its ", " separator.
+constexpr size_t kMaxLineChars = 256;
+constexpr size_t kMaxNumberChars = 26;
+
+template <typename Int>
+void AppendDecimal(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
+
 std::string DecisionLog::ToJsonl() const {
-  using obs_internal::AppendJsonNumber;
   using obs_internal::JsonEscape;
   MutexLock lock(&mu_);
-  std::string out;
+  // Reserved once from an upper bound, so the string never regrows: each
+  // doubling would copy the log and hold both copies at once.
+  std::vector<std::string> escaped_labels;
+  escaped_labels.reserve(runs_.size());
+  size_t bound = 0;
   for (const auto& [label, records] : runs_) {
-    std::string escaped = JsonEscape(label);
+    escaped_labels.push_back(JsonEscape(label));
+    size_t lines = records.size();
+    size_t scores = 0;
+    for (const DecisionRecord& r : records) scores += r.arm_scores.size();
+    if (auto it = prunes_.find(label); it != prunes_.end()) {
+      lines += it->second.size();
+    }
+    if (auto it = ingests_.find(label); it != ingests_.end()) {
+      lines += it->second.size();
+    }
+    bound += lines * (kMaxLineChars + escaped_labels.back().size()) +
+             scores * kMaxNumberChars;
+  }
+  std::string out;
+  out.reserve(bound);
+  obs_internal::JsonNumberMemo numbers;
+  size_t run_index = 0;
+  for (const auto& [label, records] : runs_) {
+    const std::string& escaped = escaped_labels[run_index++];
+    // Pull lines are appended piecewise, one per pull, so their fields skip
+    // printf's format parsing; the bytes are the "%llu" / "%u" / "%lld"
+    // text the event lines below still use.
+    const std::string line_start = "{\"run\": \"" + escaped + "\", \"iter\": ";
     for (const DecisionRecord& r : records) {
-      out += StrFormat(
-          "{\"run\": \"%s\", \"iter\": %llu, \"arm\": %u, \"doc\": %u, "
-          "\"reward\": ",
-          escaped.c_str(), static_cast<unsigned long long>(r.iteration),
-          r.arm, r.doc_id);
-      AppendJsonNumber(&out, r.reward);
-      out += StrFormat(
-          ", \"cache\": \"%s\", \"cost_us\": %lld, \"virtual_us\": %lld, "
-          "\"scores\": [",
-          CacheOutcomeName(r.cache),
-          static_cast<long long>(r.extraction_cost_micros),
-          static_cast<long long>(r.virtual_micros));
+      out += line_start;
+      AppendDecimal(&out, r.iteration);
+      out += ", \"arm\": ";
+      AppendDecimal(&out, r.arm);
+      out += ", \"doc\": ";
+      AppendDecimal(&out, r.doc_id);
+      out += ", \"reward\": ";
+      numbers.Append(&out, r.reward);
+      out += ", \"cache\": \"";
+      out += CacheOutcomeName(r.cache);
+      out += "\", \"cost_us\": ";
+      AppendDecimal(&out, r.extraction_cost_micros);
+      out += ", \"virtual_us\": ";
+      AppendDecimal(&out, r.virtual_micros);
+      out += ", \"scores\": [";
       for (size_t i = 0; i < r.arm_scores.size(); ++i) {
         if (i > 0) out += ", ";
-        AppendJsonNumber(&out, r.arm_scores[i]);
+        numbers.Append(&out, r.arm_scores[i]);
       }
       out += "]}\n";
     }

@@ -276,6 +276,29 @@ TEST(ScoreBatchTest, BitIdenticalToPerRowScoreForEveryLearner) {
   }
 }
 
+// The engine derives a pull's probability from the pull's one Score; that
+// shortcut holds only while no learner overrides PredictProbability.
+TEST(PredictProbabilityTest, EqualsProbabilityFromScoreForEveryLearner) {
+  std::vector<std::unique_ptr<Learner>> learners = AllLearners();
+  learners.push_back(std::make_unique<MajorityClassLearner>());
+  for (const auto& prototype : learners) {
+    auto learner = prototype->Clone();
+    SCOPED_TRACE(learner->name());
+    Rng rng(50);
+    Dataset train = MixedData(300, 600, &rng);
+    Dataset test = MixedData(200, 900, &rng);
+    for (int trained = 0; trained < 2; ++trained) {
+      if (trained == 1) TrainEpochs(learner.get(), train, 1, &rng);
+      for (ExampleView e : test.examples()) {
+        const double p = learner->PredictProbability(e.x);
+        const double want = Learner::ProbabilityFromScore(learner->Score(e.x));
+        ASSERT_EQ(std::memcmp(&p, &want, sizeof(p)), 0)
+            << "trained=" << trained << " p=" << p << " want=" << want;
+      }
+    }
+  }
+}
+
 TEST(ScoreBatchTest, NaiveBayesSlotsMatchPerRowScore) {
   // The slot weights against per-row Score on: explicit zero and negative
   // values, ids past both count vectors (and far past any dense table), a

@@ -4,11 +4,13 @@
 
 #include "obs/decision_log.h"
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "obs/json_util.h"
 #include "obs/obs.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace zombie {
 namespace {
@@ -111,6 +114,163 @@ TEST(JsonNumberTest, ByteIdenticalToSnprintf) {
     obs_internal::AppendJsonNumber(&got, v);
     ASSERT_EQ(got, SnprintfJsonNumber(v)) << "bits of " << v;
   }
+}
+
+// One run's entries as the test appended them.
+struct RunEntries {
+  std::vector<DecisionRecord> records;
+  std::vector<PruneEvent> prunes;
+  std::vector<IngestEvent> ingests;
+};
+
+// The JSONL format written from scratch: every line through snprintf and
+// every number through SnprintfJsonNumber, with no memo and no reserve.
+std::string ReferenceJsonl(const std::map<std::string, RunEntries>& runs) {
+  std::string out;
+  for (const auto& [label, entries] : runs) {
+    const std::string run = obs_internal::JsonEscape(label);
+    for (const DecisionRecord& r : entries.records) {
+      out += StrFormat(
+          "{\"run\": \"%s\", \"iter\": %llu, \"arm\": %u, \"doc\": %u, "
+          "\"reward\": %s, \"cache\": \"%s\", \"cost_us\": %lld, "
+          "\"virtual_us\": %lld, \"scores\": [",
+          run.c_str(), static_cast<unsigned long long>(r.iteration), r.arm,
+          r.doc_id, SnprintfJsonNumber(r.reward).c_str(),
+          CacheOutcomeName(r.cache),
+          static_cast<long long>(r.extraction_cost_micros),
+          static_cast<long long>(r.virtual_micros));
+      for (size_t i = 0; i < r.arm_scores.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += SnprintfJsonNumber(r.arm_scores[i]);
+      }
+      out += "]}\n";
+    }
+    for (const PruneEvent& p : entries.prunes) {
+      out += StrFormat(
+          "{\"run\": \"%s\", \"kind\": \"prune\", \"items\": %llu, "
+          "\"virtual_us\": %lld, \"input_dim\": %llu, \"kept\": %llu, "
+          "\"pruned\": %llu}\n",
+          run.c_str(), static_cast<unsigned long long>(p.items),
+          static_cast<long long>(p.virtual_micros),
+          static_cast<unsigned long long>(p.input_dimension),
+          static_cast<unsigned long long>(p.kept_features),
+          static_cast<unsigned long long>(p.pruned_features));
+    }
+    for (const IngestEvent& e : entries.ingests) {
+      out += StrFormat(
+          "{\"run\": \"%s\", \"kind\": \"ingest\", \"items\": %llu, "
+          "\"virtual_us\": %lld, \"docs\": %llu, \"new_arms\": %llu, "
+          "\"splits\": %llu, \"total_arms\": %llu}\n",
+          run.c_str(), static_cast<unsigned long long>(e.items),
+          static_cast<long long>(e.virtual_micros),
+          static_cast<unsigned long long>(e.docs_added),
+          static_cast<unsigned long long>(e.new_arms),
+          static_cast<unsigned long long>(e.splits),
+          static_cast<unsigned long long>(e.total_arms));
+    }
+  }
+  return out;
+}
+
+// ToJsonl memoizes the text of repeated scores and reserves its output
+// once; neither may change a byte. The scores mix the cases the memo
+// sees: values repeated across records (posterior means between pulls),
+// fresh values, integers, the non-finite clamps, the integral cut-off at
+// 1e15 and its neighbours, signed zero, subnormals, and 600 distinct
+// values cycled in random order, which over 256 slots must share slots
+// and evict one another.
+TEST(DecisionLogTest, JsonlMatchesReferenceSerializerByteForByte) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {
+      -0.0,
+      0.0,
+      1.0,
+      -7.0,
+      1e14,
+      std::numeric_limits<double>::quiet_NaN(),
+      inf,
+      -inf,
+      1e15,
+      -1e15,
+      std::nextafter(1e15, 0.0),
+      std::nextafter(-1e15, 0.0),
+      std::nextafter(1e15, 2e15),
+      std::nextafter(-1e15, -2e15),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN / 3.0,
+      -DBL_MAX,
+      -1.2345678901234567e-308,
+  };
+  Rng rng(20261020);
+  std::vector<double> cycled(600);
+  for (double& v : cycled) v = rng.NextDouble(-2.0, 2.0);
+  std::vector<double> repeated(12);
+  for (double& v : repeated) v = rng.NextDouble(0.0, 1.0);
+
+  std::map<std::string, RunEntries> runs;
+  const std::vector<std::string> labels = {
+      "ucb1/kmeans8/label/nb/s1", "thompson/kmeans8/improvement/nb/s2",
+      "quote\"back\\slash\ttab", "egreedy/kmeans8/label/nb/s3"};
+  DecisionLog log;
+  for (size_t run = 0; run < labels.size(); ++run) {
+    RunEntries& entries = runs[labels[run]];
+    const size_t arms = 4 + 6 * run;
+    for (uint64_t iter = 0; iter < 300; ++iter) {
+      DecisionRecord r;
+      r.iteration = iter;
+      r.arm = static_cast<uint32_t>(rng.NextBelow(arms));
+      r.doc_id = static_cast<uint32_t>(rng.NextBelow(100000));
+      r.reward = rng.NextBernoulli(0.5) ? rng.NextDouble(-1.0, 1.0)
+                                        : static_cast<double>(iter % 2);
+      r.cache = static_cast<CacheOutcome>(static_cast<int>(iter % 3) - 1);
+      r.extraction_cost_micros = static_cast<int64_t>(rng.NextBelow(50000));
+      r.virtual_micros = static_cast<int64_t>(iter) * 20000;
+      for (size_t a = 0; a < arms; ++a) {
+        switch (rng.NextBelow(4)) {
+          case 0:
+            r.arm_scores.push_back(repeated[rng.NextBelow(repeated.size())]);
+            break;
+          case 1:
+            r.arm_scores.push_back(cycled[rng.NextBelow(cycled.size())]);
+            break;
+          case 2:
+            r.arm_scores.push_back(specials[rng.NextBelow(specials.size())]);
+            break;
+          default:
+            r.arm_scores.push_back(rng.NextGaussian() *
+                                   std::pow(10.0, rng.NextDouble(-8.0, 16.0)));
+        }
+      }
+      entries.records.push_back(std::move(r));
+    }
+    if (run % 2 == 0) {
+      entries.prunes.push_back({100 + run, 2000000, 4104, 3739, 365});
+    }
+    if (run != 1) {
+      entries.ingests.push_back({25, 500000, 40, 3, 1, 11});
+      entries.ingests.push_back({50, 1000000, 38, 2, 2, 13});
+    }
+    // Committed in two halves, as repeated specs append.
+    std::vector<DecisionRecord> first(entries.records.begin(),
+                                      entries.records.begin() + 120);
+    std::vector<DecisionRecord> rest(entries.records.begin() + 120,
+                                     entries.records.end());
+    log.AppendRun(labels[run], std::move(first));
+    log.AppendRun(labels[run], std::move(rest));
+    log.AppendPruneEvents(labels[run], entries.prunes);
+    log.AppendIngestEvents(labels[run], entries.ingests);
+  }
+  const std::string got = log.ToJsonl();
+  const std::string want = ReferenceJsonl(runs);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want) << "first difference at byte "
+                           << std::mismatch(got.begin(), got.end(),
+                                            want.begin())
+                                      .first -
+                                  got.begin();
+  // A second serialization starts from an empty memo.
+  EXPECT_TRUE(log.ToJsonl() == want);
 }
 
 TEST(DecisionLogTest, AppendRunAccumulates) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Checks zombie_cli's run behaviour against digests pinned in the repo.
 
-Runs three `zombie_cli run` invocations (plain, --prune=conservative,
-and streaming) and a `zombie_cli session --warm` pair over one feature
+Runs five `zombie_cli run` invocations (plain, --prune=conservative,
+streaming, and the uncertainty and blend rewards, which read the learner's
+pre-update probability) and a `zombie_cli session --warm` pair over one feature
 store (a cold run that populates it, then a replay that reads every
 record back), and compares the sha256 of each RunResult fingerprint file,
 session summary and DecisionLog with tools/pinned_digests.txt.
@@ -31,6 +32,11 @@ RUNS = {
     "": ["--max_items=400"],
     "prune_": ["--max_items=400", "--prune=conservative"],
     "stream_": ["--max_items=900", "--stream=0.33", "--ingest-rate=100"],
+    # The two rewards that read the learner's pre-update probability: one
+    # policy whose arm scores change on every pull, one whose repeat.
+    "thompson_uncertainty_": ["--max_items=400", "--policy=thompson",
+                              "--reward=uncertainty"],
+    "ucb1_blend_": ["--max_items=400", "--policy=ucb1", "--reward=blend"],
 }
 # The session pair runs k-means grouping over whole sessions, holdout
 # scoring at every revision's feature width, and (on the replay) the
